@@ -45,6 +45,8 @@ class MarkovMemory:
         e = np.asarray(transition, dtype=float)
         if e.shape != (2, 2):
             raise InvalidParameterError(f"transition matrix shape {e.shape}, want (2, 2)")
+        if not np.all(np.isfinite(e)):
+            raise InvalidParameterError("transition matrix has non-finite entries")
         if np.any(e < -1e-14):
             raise InvalidParameterError("transition matrix has negative entries")
         if np.max(np.abs(e.sum(axis=1) - 1.0)) > 1e-14:
@@ -102,7 +104,7 @@ class ChannelParams:
             raise InvalidParameterError(f"mu = {self.mu} outside the open interval (-1, 1)")
         low = -1.0 if self.allow_non_cp else X_MIN
         for name, x in (("x0", self.x0), ("x1", self.x1)):
-            if x < low - X_TOL or x > X_MAX + X_TOL:
+            if not low - X_TOL <= x <= X_MAX + X_TOL:
                 raise InvalidParameterError(
                     f"{name} = {x:.6g} outside [{low:.6g}, 1] "
                     f"(a = {self.a:.6g}, d = {self.d:.6g})"
@@ -131,7 +133,7 @@ class ChannelParams:
 def depolarize(rho: np.ndarray, x: float, allow_non_cp: bool = False) -> np.ndarray:
     """Single-qubit depolarizing branch x rho + (1-x) I/2."""
     low = -1.0 if allow_non_cp else X_MIN
-    if x < low - X_TOL or x > X_MAX + X_TOL:
+    if not low - X_TOL <= x <= X_MAX + X_TOL:
         raise InvalidParameterError(f"x = {x:.6g} outside [{low:.6g}, 1]")
     if rho.shape != (2, 2):
         raise InvalidStateError(f"expected a 2x2 matrix, got {rho.shape}")

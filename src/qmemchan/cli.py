@@ -9,6 +9,7 @@ deterministic row order.  Exit codes: 0 success, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,9 +30,8 @@ from .ensembles import (
 )
 from .errors import InvalidParameterError, InvalidStateError
 from .hmm_rate import (
-    FlipProcess,
     capacity_upper_bound,
-    entropy_rate_bracket,
+    entropy_rate_bracket,  # noqa: F401 -- unused; perfbench's tracer wraps this binding
     markov_entropy_rate,
     product_state_capacity,
 )
@@ -40,6 +40,9 @@ from .two_qubit import threshold_f, two_use_capacity
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_TOLERANCE = 3
+
+NAN = float("nan")
+PREFIX = ["mu", "a", "d", "x0", "x1", "valid"]  # a point: its parameters and its CP flag
 
 FAMILY_BUILDERS = {
     "product": basis_product,
@@ -58,25 +61,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write(text: str, out_path: str | None) -> None:
+    if out_path is None:
+        sys.stdout.write(text)
+    else:
+        Path(out_path).write_text(text, encoding="utf-8", newline="\n")
+
+
 def _write_csv(header, rows, out_path: str | None) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(out_path).write_text(text, encoding="utf-8", newline="\n")
+    _write("\n".join(lines) + "\n", out_path)
 
 
 def _write_json(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(out_path).write_text(text, encoding="utf-8", newline="\n")
+    _write(json.dumps(obj, indent=2, allow_nan=False) + "\n", out_path)
 
 
-def _resolve_params(args, allow_non_cp: bool = False) -> ChannelParams:
+def _resolve_params(args) -> ChannelParams:
     have_xs = args.x0 is not None or args.x1 is not None
     have_ad = args.a is not None or args.d is not None
     if have_xs and have_ad:
@@ -86,10 +88,10 @@ def _resolve_params(args, allow_non_cp: bool = False) -> ChannelParams:
     if have_xs:
         if args.x0 is None or args.x1 is None:
             raise InvalidParameterError("both --x0 and --x1 are required together")
-        return ChannelParams.from_x(args.mu, args.x0, args.x1, allow_non_cp=allow_non_cp)
+        return ChannelParams.from_x(args.mu, args.x0, args.x1)
     if args.a is None or args.d is None:
         raise InvalidParameterError("both --a and --d are required (or use --x0/--x1)")
-    return ChannelParams(mu=args.mu, a=args.a, d=args.d, allow_non_cp=allow_non_cp)
+    return ChannelParams(mu=args.mu, a=args.a, d=args.d)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -115,112 +117,24 @@ def _parse_families(names: str, n: int) -> list[InputFamily]:
 
 
 def max_valid_d(a: float) -> float:
-    """Largest-magnitude d keeping both x0 and x1 in [-1/3, 1] (positive sign).
+    """Largest-magnitude d keeping both x0 and x1 in [-1/3, 1] (positive sign);
+    nan when a lies outside [-2/3, 2], where no valid d exists.
 
     The -d channel merely relabels the branches and has identical statistics
     under the symmetric chain.
     """
     d = min(2.0 - a, a + 2.0 / 3.0)
-    if d < 0.0:
-        raise InvalidParameterError(f"a = {a:.6g} outside [-2/3, 2]; no valid d exists")
-    return d
+    return d if d >= 0.0 else NAN
 
 
-# ----------------------------------------------------------------------------
-# two-qubit
-# ----------------------------------------------------------------------------
+def _prefix(mu: float, a: float, d: float, valid: bool) -> list:
+    """The mu,a,d,x0,x1,valid cells of one point."""
+    return [mu, a, d, (a + d) / 2.0, (a - d) / 2.0, valid]
 
 
-def _two_qubit_record(params: ChannelParams) -> dict:
-    result = two_use_capacity(params)
-    return {
-        "mu": params.mu,
-        "a": params.a,
-        "d": params.d,
-        "x0": params.x0,
-        "x1": params.x1,
-        "valid": True,
-        "f": result.f,
-        "lambda00": result.spectrum.lambda00,
-        "lambda01": result.spectrum.lambda01,
-        "lambda11": result.spectrum.lambda11,
-        "c2_product": result.c2_product,
-        "c2_entangled": result.c2_entangled,
-        "capacity": result.capacity_bits_per_use,
-        "optimal_family": result.optimal_family.value,
-        "theta_star": result.theta_star,
-    }
-
-
-def cmd_two_qubit(args) -> int:
-    params = _resolve_params(args)
-    _write_json(_two_qubit_record(params), args.out)
-    return EXIT_OK
-
-
-# ----------------------------------------------------------------------------
-# sweep
-# ----------------------------------------------------------------------------
-
-
-def _sweep_triple(args, value: float):
-    fixed = {"mu": args.mu, "a": args.a, "d": args.d}
-    fixed[args.axis] = value
-    if args.d_mode == "max_valid":
-        fixed["d"] = max_valid_d(fixed["a"])
-    return fixed["mu"], fixed["a"], fixed["d"]
-
-
-def _sweep_columns(quantity: str, families: list[InputFamily]) -> list[str]:
-    base = ["row_type", "index", "mu", "a", "d", "x0", "x1", "valid"]
-    if quantity == "f":
-        return base + ["f"]
-    if quantity == "c2":
-        return base + ["f", "c2_product", "c2_entangled", "capacity", "optimal_family"]
-    if quantity == "i_n":
-        cols = base + ["f"]
-        for family in families:
-            cols += [f"i_n_{family.kind}", f"per_use_{family.kind}"]
-        return cols
-    if quantity == "c_prod":
-        return base + ["c_prod", "c_prod_lower", "c_prod_upper", "n_used", "converged"]
-    return base + ["bound", "c_prod_upper", "markov_rate"]  # quantity == "bound"
-
-
-def _sweep_cells(quantity: str, params: ChannelParams | None, args, families) -> list:
-    """Quantity cells for one grid point; nan-filled when params are invalid."""
-    if quantity == "f":
-        width = 1
-    elif quantity == "c2":
-        width = 5
-    elif quantity == "i_n":
-        width = 1 + 2 * len(families)
-    elif quantity == "c_prod":
-        width = 5
-    else:
-        width = 3
-    if params is None:
-        return [float("nan")] * width
-    if quantity == "f":
-        return [threshold_f(params)]
-    if quantity == "c2":
-        r = two_use_capacity(params)
-        return [r.f, r.c2_product, r.c2_entangled, r.capacity_bits_per_use, r.optimal_family.value]
-    if quantity == "i_n":
-        cells = [threshold_f(params)]
-        for family in families:
-            try:
-                mi = orbit_mutual_information(family, params)
-                cells += [mi.i_n, mi.per_use]
-            except InvalidStateError:
-                cells += [float("nan"), float("nan")]
-        return cells
-    if quantity == "c_prod":
-        est = product_state_capacity(params, n_max=args.n_max, tolerance=args.tolerance)
-        return [est.capacity, est.lower, est.upper, est.n_used, est.converged]
-    est = product_state_capacity(params, n_max=args.n_max, tolerance=args.tolerance)
-    bound = capacity_upper_bound(params, estimate=est)
-    return [bound, est.upper, markov_entropy_rate(params.memory)]
+def _record(params: ChannelParams) -> dict:
+    """The prefix of a valid point as the head of a JSON record."""
+    return dict(zip(PREFIX, _prefix(params.mu, params.a, params.d, True)))
 
 
 def _try_params(mu, a, d) -> ChannelParams | None:
@@ -230,39 +144,135 @@ def _try_params(mu, a, d) -> ChannelParams | None:
         return None
 
 
-def _try_triple(args, value: float):
-    """(mu, a, d) at one grid point, or None when no valid d exists there."""
+def _point_row(lead: list, mu, a, d, columns: list[str], values_of) -> list:
+    """``lead``, the prefix of (mu, a, d), then ``columns`` picked by name from
+    values_of(params), or nan where (mu, a, d) is no valid channel."""
+    params = _try_params(mu, a, d)
+    values = dict.fromkeys(columns, NAN) if params is None else values_of(params)
+    return [*lead, *_prefix(mu, a, d, params is not None), *(values[c] for c in columns)]
+
+
+def _two_use_values(params: ChannelParams) -> dict:
+    """Every two-use quantity of a point, keyed by its output column name."""
+    r = two_use_capacity(params)
+    return {
+        "f": r.f,
+        "lambda00": r.spectrum.lambda00,
+        "lambda01": r.spectrum.lambda01,
+        "lambda11": r.spectrum.lambda11,
+        "c2_product": r.c2_product,
+        "c2_entangled": r.c2_entangled,
+        "capacity": r.capacity_bits_per_use,
+        "optimal_family": r.optimal_family.value,
+        "theta_star": r.theta_star,
+        "i2_product": 2.0 * r.c2_product,
+        "i2_entangled": 2.0 * r.c2_entangled,
+        "per_use_product": r.c2_product,
+        "per_use_entangled": r.c2_entangled,
+    }
+
+
+def _mutual_info_cells(family: InputFamily, params: ChannelParams | None) -> list:
+    if params is None:
+        return [NAN, NAN]
     try:
-        return _sweep_triple(args, value)
-    except InvalidParameterError:
-        return None
+        mi = orbit_mutual_information(family, params)
+        return [mi.i_n, mi.per_use]
+    except InvalidStateError:
+        return [NAN, NAN]
 
 
-def _crossover_value(args, lo: float, hi: float, f_lo: float) -> float:
-    """Bisect the sign change of f between two grid points on the sweep axis."""
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        triple = _try_triple(args, mid)
-        params = _try_params(*triple) if triple else None
-        if params is None:
-            break
-        f_mid = threshold_f(params)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    return (lo + hi) / 2.0
+def _crossovers(grid, point) -> list[tuple[int, float]]:
+    """(index, axis value) of each sign change of f between grid[index] and
+    grid[index + 1], bisected to 1e-13; point(value) gives (mu, a, d)."""
+
+    def f_at(value: float) -> float | None:
+        params = _try_params(*point(value))
+        return None if params is None else threshold_f(params)
+
+    f_values = [f_at(float(value)) for value in grid]
+    found = []
+    for index, (f_lo, f_hi) in enumerate(zip(f_values, f_values[1:])):
+        if f_lo is None or f_hi is None or f_lo * f_hi >= 0.0:
+            continue
+        lo, hi = float(grid[index]), float(grid[index + 1])
+        for _ in range(200):
+            mid = (lo + hi) / 2.0
+            f_mid = f_at(mid)
+            if f_mid is None or f_mid == 0.0:
+                break
+            if (f_mid < 0.0) == (f_lo < 0.0):
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-13:
+                break
+        found.append((index, (lo + hi) / 2.0))
+    return found
+
+
+# ----------------------------------------------------------------------------
+# two-qubit
+# ----------------------------------------------------------------------------
+
+TWO_QUBIT_FIELDS = ["f", "lambda00", "lambda01", "lambda11", "c2_product", "c2_entangled",
+                    "capacity", "optimal_family", "theta_star"]
+
+
+def cmd_two_qubit(args) -> int:
+    params = _resolve_params(args)
+    values = _two_use_values(params)
+    _write_json({**_record(params), **{key: values[key] for key in TWO_QUBIT_FIELDS}}, args.out)
+    return EXIT_OK
+
+
+# ----------------------------------------------------------------------------
+# sweep
+# ----------------------------------------------------------------------------
+
+# quantity -> its columns; i_n adds i_n_<family>, per_use_<family> for each family
+QUANTITY_COLUMNS = {
+    "f": ["f"],
+    "c2": ["f", "c2_product", "c2_entangled", "capacity", "optimal_family"],
+    "i_n": ["f"],
+    "c_prod": ["c_prod", "c_prod_lower", "c_prod_upper", "n_used", "converged"],
+    "bound": ["bound", "c_prod_upper", "markov_rate"],
+}
+
+
+def _check_tolerance(tolerance: float) -> None:
+    if not 0.0 <= tolerance < math.inf:
+        raise InvalidParameterError(f"--tolerance {tolerance} must be finite and >= 0")
+
+
+def _sweep_values(args, families: list[InputFamily], params: ChannelParams) -> dict:
+    """The quantity cells of one valid grid point, keyed by column name."""
+    if args.quantity == "c2":
+        return _two_use_values(params)
+    if args.quantity in ("f", "i_n"):
+        values = {"f": threshold_f(params)}
+        for family in families:
+            values[f"i_n_{family.kind}"], values[f"per_use_{family.kind}"] = (
+                _mutual_info_cells(family, params))
+        return values
+    est = product_state_capacity(params, n_max=args.n_max, tolerance=args.tolerance)
+    return {
+        "c_prod": est.capacity,
+        "c_prod_lower": est.lower,
+        "c_prod_upper": est.upper,
+        "n_used": est.n_used,
+        "converged": est.converged,
+        "bound": capacity_upper_bound(params, estimate=est),
+        "markov_rate": markov_entropy_rate(params.memory),
+    }
 
 
 def cmd_sweep(args) -> int:
-    if args.lo >= args.hi:
-        raise InvalidParameterError(f"--lo {args.lo} must be < --hi {args.hi}")
+    if not -math.inf < args.lo < args.hi < math.inf:
+        raise InvalidParameterError(f"--lo {args.lo} and --hi {args.hi} must be finite, lo < hi")
     if args.steps < 2:
         raise InvalidParameterError(f"--steps {args.steps} must be >= 2")
+    _check_tolerance(args.tolerance)
     for name in ("mu", "a"):
         if name != args.axis and getattr(args, name) is None:
             raise InvalidParameterError(f"--{name} must be fixed when sweeping {args.axis}")
@@ -271,39 +281,27 @@ def cmd_sweep(args) -> int:
     if args.axis != "d" and args.d is None and args.d_mode != "max_valid":
         raise InvalidParameterError("--d must be fixed (or use --d-mode max_valid)")
     families = _parse_families(args.families, args.n) if args.quantity == "i_n" else []
+    columns = QUANTITY_COLUMNS[args.quantity] + [
+        f"{stat}_{family.kind}" for family in families for stat in ("i_n", "per_use")]
+
+    values_of = functools.partial(_sweep_values, args, families)
+
+    def point(value: float):
+        """(mu, a, d) at one axis value; d is nan where max_valid finds none."""
+        fixed = {"mu": args.mu, "a": args.a, "d": args.d, args.axis: value}
+        if args.d_mode == "max_valid":
+            fixed["d"] = max_valid_d(fixed["a"])
+        return fixed["mu"], fixed["a"], fixed["d"]
+
+    def row(row_type: str, index: int, value: float) -> list:
+        return _point_row([row_type, index], *point(value), columns, values_of)
+
     grid = np.linspace(args.lo, args.hi, args.steps)
-    header = _sweep_columns(args.quantity, families)
-    rows = []
-    f_values: list[float | None] = []
-    for index, value in enumerate(grid):
-        triple = _try_triple(args, float(value))
-        if triple is None:
-            # no admissible d at this grid point; flag the row, keep sweeping
-            fixed = {"mu": args.mu, "a": args.a, "d": float("nan"), args.axis: float(value)}
-            nan_cells = _sweep_cells(args.quantity, None, args, families)
-            rows.append(["grid", index, fixed["mu"], fixed["a"], fixed["d"],
-                         float("nan"), float("nan"), False] + nan_cells)
-            f_values.append(None)
-            continue
-        mu, a, d = triple
-        params = _try_params(mu, a, d)
-        x0, x1 = (a + d) / 2.0, (a - d) / 2.0
-        cells = _sweep_cells(args.quantity, params, args, families)
-        rows.append(["grid", index, mu, a, d, x0, x1, params is not None] + cells)
-        f_values.append(threshold_f(params) if params is not None else None)
+    rows = [row("grid", index, float(value)) for index, value in enumerate(grid)]
     if args.quantity in ("f", "c2"):
-        inserted = 0
-        for index in range(len(grid) - 1):
-            f_lo, f_hi = f_values[index], f_values[index + 1]
-            if f_lo is None or f_hi is None or f_lo * f_hi >= 0.0:
-                continue
-            value = _crossover_value(args, float(grid[index]), float(grid[index + 1]), f_lo)
-            mu, a, d = _sweep_triple(args, value)
-            params = _try_params(mu, a, d)
-            cells = _sweep_cells(args.quantity, params, args, families)
-            row = ["crossover", index, mu, a, d, (a + d) / 2.0, (a - d) / 2.0, params is not None]
-            rows.insert(index + 1 + inserted, row + cells)
-            inserted += 1
+        for inserted, (index, value) in enumerate(_crossovers(grid, point)):
+            rows.insert(index + 1 + inserted, row("crossover", index, value))
+    header = ["row_type", "index", *PREFIX, *columns]
     if args.format == "json":
         def jsonable(cell):
             if isinstance(cell, bool):
@@ -325,37 +323,24 @@ def cmd_sweep(args) -> int:
 # ----------------------------------------------------------------------------
 
 
-def _bracket_is_monotone(params: ChannelParams, n_used: int) -> bool:
-    process = FlipProcess.from_params(params)
-    prev = None
-    for n in range(2, n_used + 1):
-        bracket = entropy_rate_bracket(process, n)
-        if prev is not None:
-            if bracket.upper > prev.upper + 1e-12 or bracket.lower < prev.lower - 1e-12:
-                return False
-        prev = bracket
-    return True
-
-
 def cmd_entropy_rate(args) -> int:
+    _check_tolerance(args.tolerance)
     params = _resolve_params(args)
     est = product_state_capacity(params, n_max=args.n_max, tolerance=args.tolerance)
-    rate = markov_entropy_rate(params.memory)
+    # the conditional-entropy brackets, n = 2..n_used, must each nest in the last
+    brackets = est.brackets[1:]
+    monotone = all(b.upper <= a.upper + 1e-12 and b.lower >= a.lower - 1e-12
+                   for a, b in zip(brackets, brackets[1:]))
     record = {
-        "mu": params.mu,
-        "a": params.a,
-        "d": params.d,
-        "x0": params.x0,
-        "x1": params.x1,
-        "valid": True,
+        **_record(params),
         "lower": est.rate_bracket.lower,
         "upper": est.rate_bracket.upper,
         "n_used": est.n_used,
         "converged": est.converged,
-        "bracket_monotone": _bracket_is_monotone(params, est.n_used),
+        "bracket_monotone": monotone,
         "c_prod": est.capacity,
         "c_prod_bracket": [est.lower, est.upper],
-        "markov_rate": rate,
+        "markov_rate": markov_entropy_rate(params.memory),
         "capacity_upper_bound": capacity_upper_bound(params, estimate=est),
     }
     _write_json(record, args.out)
@@ -375,12 +360,7 @@ def cmd_mutual_info(args) -> int:
     )
     if args.format == "json":
         obj = {
-            "mu": params.mu,
-            "a": params.a,
-            "d": params.d,
-            "x0": params.x0,
-            "x1": params.x1,
-            "valid": True,
+            **_record(params),
             "n": args.n,
             "rows": [
                 {"family": mi.family.kind, "i_n": mi.i_n, "per_use": mi.per_use}
@@ -389,12 +369,9 @@ def cmd_mutual_info(args) -> int:
         }
         _write_json(obj, args.out)
     else:
-        header = ["family", "n", "mu", "a", "d", "x0", "x1", "valid", "i_n", "per_use"]
-        rows = [
-            [mi.family.kind, args.n, params.mu, params.a, params.d,
-             params.x0, params.x1, True, mi.i_n, mi.per_use]
-            for mi in ranked
-        ]
+        header = ["family", "n", *PREFIX, "i_n", "per_use"]
+        prefix = _prefix(params.mu, params.a, params.d, True)
+        rows = [[mi.family.kind, args.n, *prefix, mi.i_n, mi.per_use] for mi in ranked]
         _write_csv(header, rows, args.out)
     return EXIT_OK
 
@@ -403,148 +380,106 @@ def cmd_mutual_info(args) -> int:
 # figures
 # ----------------------------------------------------------------------------
 
+# Each figure's manifest entry; the builders read their fixed values and the
+# manifest-listed grids, all np.linspace (start, stop, num), from here.
+FIG1 = {"n": 2, "mu": [-0.95, 0.95, 39], "a": [-2 / 3, 2.0, 33], "d": "max_valid"}
+FIG2_PANELS = {  # panel -> (swept axis, grid, fixed values)
+    "mu_sweep": ("mu", (-0.95, 0.95, 77), {"a": 1 / 3, "d": -1.0}),
+    "a_sweep": ("a", (-2 / 3, 2.0, 81), {"mu": 2 / 3, "d": -1.0}),
+    "d_sweep": ("d", (-4 / 3, 4 / 3, 81), {"mu": 2 / 3, "a": 1 / 3}),
+}
+FIG2 = {"n": 2, "panels": list(FIG2_PANELS),
+        "fixed": {panel: fixed for panel, (_, _, fixed) in FIG2_PANELS.items()}}
+FIG3 = {"mu": 0.9, "a": 2 / 3, "d": -4 / 3, "n": [2, 4, 6, 8]}
+FIG4 = {"n": 4, "grid_d": "max_valid", "mu_sweep": {"a": 1 / 3, "d": 4 / 3}}
+FIG5 = {"n": 6, "grid_d": "max_valid"}
+
 
 def _fig1_rows():
-    header = ["mu", "a", "d", "x0", "x1", "valid", "f",
-              "i2_product", "i2_entangled", "per_use_product", "per_use_entangled"]
-    rows = []
-    for mu in np.linspace(-0.95, 0.95, 39):
-        for a in np.linspace(-2.0 / 3.0, 2.0, 33):
-            d = min(2.0 - a, a + 2.0 / 3.0)
-            params = _try_params(float(mu), float(a), float(d))
-            x0, x1 = (a + d) / 2.0, (a - d) / 2.0
-            if params is None:
-                rows.append([float(mu), float(a), float(d), x0, x1, False] + [float("nan")] * 5)
-                continue
-            r = two_use_capacity(params)
-            rows.append([
-                float(mu), float(a), float(d), x0, x1, True, r.f,
-                2.0 * r.c2_product, 2.0 * r.c2_entangled, r.c2_product, r.c2_entangled,
-            ])
-    return header, rows
+    columns = ["f", "i2_product", "i2_entangled", "per_use_product", "per_use_entangled"]
+    rows = [
+        _point_row([], float(mu), float(a), float(max_valid_d(a)), columns, _two_use_values)
+        for mu in np.linspace(*FIG1["mu"])
+        for a in np.linspace(*FIG1["a"])
+    ]
+    return [*PREFIX, *columns], rows
 
 
 def _fig2_rows():
-    header = ["panel", "row_type", "axis_value", "mu", "a", "d", "x0", "x1", "valid",
-              "f", "i2_product", "i2_entangled", "capacity", "optimal_family"]
-    panels = [
-        ("mu_sweep", "mu", np.linspace(-0.95, 0.95, 77), {"a": 1.0 / 3.0, "d": -1.0}),
-        ("a_sweep", "a", np.linspace(-2.0 / 3.0, 2.0, 81), {"mu": 2.0 / 3.0, "d": -1.0}),
-        ("d_sweep", "d", np.linspace(-4.0 / 3.0, 4.0 / 3.0, 81), {"mu": 2.0 / 3.0, "a": 1.0 / 3.0}),
-    ]
+    columns = ["f", "i2_product", "i2_entangled", "capacity", "optimal_family"]
     rows = []
-    for panel, axis, grid, fixed in panels:
-        def triple(value: float):
-            point = dict(fixed)
-            point[axis] = value
-            return point["mu"], point["a"], point["d"]
+    for panel, (axis, span, fixed) in FIG2_PANELS.items():
+        def point(value: float):
+            at = {**fixed, axis: value}
+            return at["mu"], at["a"], at["d"]
 
-        def cells(row_type: str, value: float):
-            mu, a, d = triple(value)
-            params = _try_params(mu, a, d)
-            x0, x1 = (a + d) / 2.0, (a - d) / 2.0
-            if params is None:
-                return [panel, row_type, value, mu, a, d, x0, x1, False] + [float("nan")] * 4 + [""]
-            r = two_use_capacity(params)
-            return [panel, row_type, value, mu, a, d, x0, x1, True, r.f,
-                    2.0 * r.c2_product, 2.0 * r.c2_entangled,
-                    r.capacity_bits_per_use, r.optimal_family.value]
+        def row(row_type: str, value: float) -> list:
+            cells = _point_row([panel, row_type, value], *point(value), columns,
+                               _two_use_values)
+            if isinstance(cells[-1], float):  # invalid point: fig2 leaves the family empty
+                cells[-1] = ""
+            return cells
 
-        f_vals = []
-        for value in grid:
-            mu, a, d = triple(float(value))
-            params = _try_params(mu, a, d)
-            f_vals.append(threshold_f(params) if params is not None else None)
-            rows.append(cells("grid", float(value)))
-        # crossover rows appended per panel, after the grid, in axis order
-        for i in range(len(grid) - 1):
-            f_lo, f_hi = f_vals[i], f_vals[i + 1]
-            if f_lo is None or f_hi is None or f_lo * f_hi >= 0.0:
-                continue
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            for _ in range(200):
-                mid = (lo + hi) / 2.0
-                params = _try_params(*triple(mid))
-                f_mid = threshold_f(params) if params is not None else None
-                if f_mid is None or hi - lo < 1e-13 or f_mid == 0.0:
-                    break
-                if (f_mid < 0.0) == (f_lo < 0.0):
-                    lo = mid
-                else:
-                    hi = mid
-            rows.append(cells("crossover", (lo + hi) / 2.0))
-    return header, rows
-
-
-def _mutual_info_cells(family: InputFamily, params: ChannelParams | None):
-    if params is None:
-        return [float("nan"), float("nan")]
-    try:
-        mi = orbit_mutual_information(family, params)
-        return [mi.i_n, mi.per_use]
-    except InvalidStateError:
-        return [float("nan"), float("nan")]
+        grid = np.linspace(*span)
+        rows += [row("grid", float(value)) for value in grid]
+        # crossover rows follow the panel's grid, in axis order
+        rows += [row("crossover", value) for _, value in _crossovers(grid, point)]
+    return ["panel", "row_type", "axis_value", *PREFIX, *columns], rows
 
 
 def _fig3_rows():
-    header = ["mu", "a", "d", "x0", "x1", "valid", "n", "family", "i_n", "per_use"]
-    mu, a, d = 0.9, 2.0 / 3.0, -4.0 / 3.0
+    mu, a, d = FIG3["mu"], FIG3["a"], FIG3["d"]
     params = ChannelParams(mu=mu, a=a, d=d)
     rows = []
-    for n in (2, 4, 6, 8):
+    for n in FIG3["n"]:
         for family in default_families(n):
-            cells = _mutual_info_cells(family, params)
-            rows.append([mu, a, d, params.x0, params.x1, True, n, family.kind] + cells)
-    return header, rows
+            rows.append([*_prefix(mu, a, d, True), n, family.kind,
+                         *_mutual_info_cells(family, params)])
+    return [*PREFIX, "n", "family", "i_n", "per_use"], rows
 
 
-def _entangled_grid_rows(n: int, a_grid, mu_grid):
-    header = ["panel", "mu", "a", "d", "x0", "x1", "cp", "family", "n", "i_n", "per_use"]
+def _entangled_grid_rows(n: int, a_span, mu_span):
     rows = []
-    for mu in mu_grid:
-        for a in a_grid:
-            d = min(2.0 - a, a + 2.0 / 3.0)
-            params = _try_params(float(mu), float(a), float(d))
-            x0, x1 = (a + d) / 2.0, (a - d) / 2.0
+    for mu_value in np.linspace(*mu_span):
+        for a_value in np.linspace(*a_span):
+            mu, a, d = float(mu_value), float(a_value), float(max_valid_d(a_value))
+            params = _try_params(mu, a, d)
             for family in (basis_product(n), max_entangled_halves(n)):
-                cells = _mutual_info_cells(family, params)
-                rows.append(["grid", float(mu), float(a), float(d), x0, x1,
-                             params is not None, family.kind, n] + cells)
-    return header, rows
+                rows.append(["grid", *_prefix(mu, a, d, params is not None), family.kind, n,
+                             *_mutual_info_cells(family, params)])
+    return ["panel", "mu", "a", "d", "x0", "x1", "cp", "family", "n", "i_n", "per_use"], rows
 
 
 def _fig4_rows():
-    header, rows = _entangled_grid_rows(
-        4, np.linspace(-2.0 / 3.0, 2.0, 17), np.linspace(-0.9, 0.9, 13)
-    )
+    n = FIG4["n"]
+    header, rows = _entangled_grid_rows(n, (-2 / 3, 2.0, 17), (-0.9, 0.9, 13))
     # caption sweep: a = 1/3, d = 4/3 puts x1 = -1/2 outside the CP range;
     # rows are kept with cp = 0 and nan entropies wherever positivity fails.
-    a, d = 1.0 / 3.0, 4.0 / 3.0
-    x0, x1 = (a + d) / 2.0, (a - d) / 2.0
+    a, d = FIG4["mu_sweep"]["a"], FIG4["mu_sweep"]["d"]
     for mu in np.linspace(-0.95, 0.95, 39):
         params = ChannelParams(mu=float(mu), a=a, d=d, allow_non_cp=True)
-        for family in default_families(4):
-            cells = _mutual_info_cells(family, params)
-            rows.append(["mu_sweep", float(mu), a, d, x0, x1, False, family.kind, 4] + cells)
+        for family in default_families(n):
+            rows.append(["mu_sweep", *_prefix(float(mu), a, d, False), family.kind, n,
+                         *_mutual_info_cells(family, params)])
     return header, rows
 
 
-def _fig5_rows():
-    return _entangled_grid_rows(6, np.linspace(-2.0 / 3.0, 2.0, 13), np.linspace(-0.9, 0.9, 9))
+# output file -> (row builder, manifest entry)
+FIGURES = {
+    "fig1.csv": (_fig1_rows, FIG1),
+    "fig2.csv": (_fig2_rows, FIG2),
+    "fig3.csv": (_fig3_rows, FIG3),
+    "fig4.csv": (_fig4_rows, FIG4),
+    "fig5.csv": (functools.partial(_entangled_grid_rows, FIG5["n"], (-2 / 3, 2.0, 13),
+                                   (-0.9, 0.9, 9)), FIG5),
+}
 
 
 def cmd_figures(args) -> int:
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        builders = {
-            "fig1.csv": _fig1_rows,
-            "fig2.csv": _fig2_rows,
-            "fig3.csv": _fig3_rows,
-            "fig4.csv": _fig4_rows,
-            "fig5.csv": _fig5_rows,
-        }
-        for name, builder in builders.items():
+        for name, (builder, _) in FIGURES.items():
             header, rows = builder()
             _write_csv(header, rows, str(out_dir / name))
         manifest = {
@@ -560,17 +495,7 @@ def cmd_figures(args) -> int:
                 "fig4_mu_sweep": "a = 1/3, d = 4/3 lies outside the CP range (x1 = -1/2); "
                                  "rows carry cp = 0 and nan where output positivity fails",
             },
-            "figures": {
-                "fig1.csv": {"n": 2, "mu": [-0.95, 0.95, 39], "a": [-2/3, 2.0, 33], "d": "max_valid"},
-                "fig2.csv": {"n": 2, "panels": ["mu_sweep", "a_sweep", "d_sweep"],
-                             "fixed": {"mu_sweep": {"a": 1/3, "d": -1.0},
-                                       "a_sweep": {"mu": 2/3, "d": -1.0},
-                                       "d_sweep": {"mu": 2/3, "a": 1/3}}},
-                "fig3.csv": {"mu": 0.9, "a": 2/3, "d": -4/3, "n": [2, 4, 6, 8]},
-                "fig4.csv": {"n": 4, "grid_d": "max_valid",
-                             "mu_sweep": {"a": 1/3, "d": 4/3}},
-                "fig5.csv": {"n": 6, "grid_d": "max_valid"},
-            },
+            "figures": {name: entry for name, (_, entry) in FIGURES.items()},
         }
         _write_json(manifest, str(out_dir / "manifest.json"))
     except OSError as exc:
@@ -605,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--steps", type=int, required=True)
     ps.add_argument("--d-mode", dest="d_mode", choices=["explicit", "max_valid"],
                     default="explicit")
-    ps.add_argument("--quantity", required=True, choices=["f", "c2", "i_n", "c_prod", "bound"])
+    ps.add_argument("--quantity", required=True, choices=list(QUANTITY_COLUMNS))
     ps.add_argument("--n", type=int, default=2, help="qubit count for i_n sweeps")
     ps.add_argument("--families", default="all")
     ps.add_argument("--tolerance", type=float, default=1e-4)

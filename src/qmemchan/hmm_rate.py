@@ -67,49 +67,40 @@ def _check_exact(n: int) -> None:
         )
 
 
-def _forward_init(process: FlipProcess, initial_state=None) -> np.ndarray:
-    """Joint P(k_1, hidden state); rows index k_1, columns the hidden state.
+def _string_laws(process: FlipProcess, n: int, initial_state=None):
+    """Yield the exact law of the first t flip symbols for t = 1..n, MSB-first.
 
-    ``initial_state`` pins the hidden state at time 1 (used by the lower
-    bracket); otherwise the chain starts stationary.
+    The forward algorithm runs over all strings at once: forward[s, i] =
+    P(string s, hidden_t = i).  ``initial_state`` pins the hidden state at
+    time 1 (used by the lower bracket); otherwise the chain starts
+    stationary.  Each law is a fresh array; only the forward variable is
+    kept between steps.
     """
     if initial_state is None:
         start = process.memory.stationary
     else:
         start = np.zeros(2)
         start[initial_state] = 1.0
-    return (start[None, :] * process.emission.T).copy()
-
-
-def _forward_step(forward: np.ndarray, process: FlipProcess) -> np.ndarray:
-    """One forward-algorithm step over all strings at once.
-
-    forward[s, i] = P(string s, hidden_t = i); strings are indexed with the
-    first symbol as the most significant bit.
-    """
-    propagated = forward @ process.memory.transition
-    extended = propagated[:, None, :] * process.emission.T[None, :, :]
-    return extended.reshape(-1, 2)
+    transition, emission = process.memory.transition, process.emission.T
+    forward = start[None, :] * emission
+    yield forward.sum(axis=1)
+    for _ in range(n - 1):
+        # one expression: no temporary stays alive while the generator waits
+        forward = ((forward @ transition)[:, None, :] * emission[None, :, :]).reshape(-1, 2)
+        yield forward.sum(axis=1)
 
 
 def path_measure(process: FlipProcess, n: int) -> np.ndarray:
     """Exact law of the first n flip symbols, indexed MSB-first; sums to 1."""
     _check_exact(n)
-    forward = _forward_init(process)
-    for _ in range(n - 1):
-        forward = _forward_step(forward, process)
-    return forward.sum(axis=1)
+    for measure in _string_laws(process, n):
+        pass
+    return measure
 
 
 def _block_entropy_series(process: FlipProcess, n: int, initial_state=None) -> np.ndarray:
     """H(X_1..X_t) for t = 1..n, optionally conditioned on the first hidden state."""
-    entropies = np.empty(n)
-    forward = _forward_init(process, initial_state)
-    entropies[0] = shannon_entropy(forward.sum(axis=1))
-    for t in range(1, n):
-        forward = _forward_step(forward, process)
-        entropies[t] = shannon_entropy(forward.sum(axis=1))
-    return entropies
+    return np.array([shannon_entropy(law) for law in _string_laws(process, n, initial_state)])
 
 
 def block_entropy(process: FlipProcess, n: int) -> float:
@@ -157,7 +148,11 @@ def entropy_rate_bracket(process: FlipProcess, n: int) -> EntropyRateBracket:
 
 @dataclass(frozen=True)
 class CapacityEstimate:
-    """Product-state capacity with its bracket: capacity in [lower, upper]."""
+    """Product-state capacity with its bracket: capacity in [lower, upper].
+
+    ``brackets[n - 1]`` is the entropy-rate bracket at block length n, for
+    n = 1..n_used; the last of them is ``rate_bracket``.
+    """
 
     capacity: float
     lower: float
@@ -165,6 +160,7 @@ class CapacityEstimate:
     rate_bracket: EntropyRateBracket
     n_used: int
     converged: bool
+    brackets: tuple[EntropyRateBracket, ...]
 
 
 def product_state_capacity(
@@ -183,23 +179,21 @@ def product_state_capacity(
         raise InvalidParameterError(f"n_max = {n_max} must be >= 1")
     n_max = min(n_max, EXACT_ENUMERATION_MAX)
     process = FlipProcess.from_params(params)
-    gamma = process.memory.stationary
-    forwards = [_forward_init(process), _forward_init(process, 0), _forward_init(process, 1)]
-    series = [[shannon_entropy(f.sum(axis=1))] for f in forwards]
-    # at n = 1 the rate is pinned only by 0 <= rate <= H(X_1)
-    bracket = EntropyRateBracket(lower=0.0, upper=series[0][0], block_length=1)
-    if bracket.width / 2.0 > tolerance:
-        for n in range(2, n_max + 1):
-            for k in range(3):
-                forwards[k] = _forward_step(forwards[k], process)
-                series[k].append(shannon_entropy(forwards[k].sum(axis=1)))
-            bracket = _bracket_from_series(series[0], series[1], series[2], gamma, n)
-            if bracket.width / 2.0 <= tolerance:
-                break
-    return _estimate_from(bracket, tolerance)
-
-
-def _estimate_from(bracket: EntropyRateBracket, tolerance: float) -> CapacityEstimate:
+    laws = [_string_laws(process, n_max, initial_state) for initial_state in (None, 0, 1)]
+    series: list[list[float]] = [[], [], []]
+    brackets = []
+    for n in range(1, n_max + 1):
+        # one law at a time, each dropped once its entropy is taken
+        for entropies, law in zip(series, laws):
+            entropies.append(shannon_entropy(next(law)))
+        if n == 1:
+            # at n = 1 the rate is pinned only by 0 <= rate <= H(X_1)
+            bracket = EntropyRateBracket(lower=0.0, upper=series[0][0], block_length=1)
+        else:
+            bracket = _bracket_from_series(*series, process.memory.stationary, n)
+        brackets.append(bracket)
+        if bracket.width / 2.0 <= tolerance:
+            break
     return CapacityEstimate(
         capacity=1.0 - bracket.estimate,
         lower=1.0 - bracket.upper,
@@ -207,6 +201,7 @@ def _estimate_from(bracket: EntropyRateBracket, tolerance: float) -> CapacityEst
         rate_bracket=bracket,
         n_used=bracket.block_length,
         converged=bracket.width / 2.0 <= tolerance,
+        brackets=tuple(brackets),
     )
 
 

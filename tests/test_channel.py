@@ -44,6 +44,12 @@ def test_params_validation():
     ChannelParams(mu=0.0, a=0.0, d=1.0, allow_non_cp=True)
     with pytest.raises(InvalidParameterError):
         ChannelParams(mu=0.0, a=0.0, d=2.5, allow_non_cp=True)
+    # non-finite input is rejected, not carried into the results
+    for mu, a, d in ((0.5, float("nan"), 0.1), (0.5, 0.5, float("inf")), (float("nan"), 1.0, 0.0)):
+        with pytest.raises(InvalidParameterError):
+            ChannelParams(mu=mu, a=a, d=d)
+        with pytest.raises(InvalidParameterError):
+            ChannelParams(mu=mu, a=a, d=d, allow_non_cp=True)
 
 
 def test_markov_memory_symmetric():
@@ -62,6 +68,9 @@ def test_markov_memory_general_chain():
         MarkovMemory.from_transition([[1.0, 0.0], [0.0, 1.0]])  # not ergodic
     with pytest.raises(InvalidParameterError):
         MarkovMemory.from_transition([[0.9, 0.2], [0.3, 0.7]])  # rows don't sum to 1
+    for bad in ([[float("nan"), 0.1], [0.3, 0.7]], [[0.9, 0.1], [float("inf"), 0.7]]):
+        with pytest.raises(InvalidParameterError):
+            MarkovMemory.from_transition(bad)
 
 
 def test_path_weights_distribution():
@@ -97,6 +106,8 @@ def test_depolarize():
         depolarize(rho, -0.5)
     with pytest.raises(InvalidParameterError):
         depolarize(rho, 1.2)
+    with pytest.raises(InvalidParameterError):
+        depolarize(rho, float("nan"))
 
 
 def test_apply_branch_identity_and_coherence():

@@ -1,11 +1,16 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qmemchan.cli import EXIT_INVALID, EXIT_OK, EXIT_TOLERANCE, main, max_valid_d
 from qmemchan import binary_entropy
+
+
+FIGURE_HASHES = Path(__file__).resolve().parents[1] / "perfbench" / "figure_hashes.json"
 
 
 def run(capsys, *argv):
@@ -61,6 +66,14 @@ def test_two_qubit_invalid_params_names_bound(capsys):
     code, _, err = run(capsys, "two-qubit", "--mu", "0", "--a", "2.5", "--d", "0")
     assert code == EXIT_INVALID
     assert "x0" in err and "outside" in err
+
+
+def test_non_finite_input_exits_invalid(capsys):
+    code, out, err = run(capsys, "two-qubit", "--mu", "0.5", "--a", "nan", "--d", "0.1")
+    assert code == EXIT_INVALID and out == "" and "outside" in err
+    code, out, err = run(capsys, "entropy-rate", "--mu", "0.5", "--a", "1", "--d", "0",
+                         "--tolerance", "nan")
+    assert code == EXIT_INVALID and out == "" and "--tolerance" in err
 
 
 # ---------------------------------------------------------------------- sweep
@@ -130,6 +143,14 @@ def test_sweep_validation_errors(capsys):
                        "--steps", "5", "--mu", "0.5", "--a", "1", "--quantity", "f",
                        "--d-mode", "max_valid")
     assert code == EXIT_INVALID
+    # non-finite bounds, and a tolerance that is negative or not finite
+    base = ["sweep", "--axis", "mu", "--steps", "5", "--a", "1", "--d", "0", "--quantity", "c_prod"]
+    for extra, flag in ((["--lo", "nan", "--hi", "0.5"], "--lo"),
+                        (["--lo", "0.1", "--hi", "inf"], "--hi"),
+                        (["--lo", "0.1", "--hi", "0.5", "--tolerance", "-1"], "--tolerance"),
+                        (["--lo", "0.1", "--hi", "0.5", "--tolerance", "nan"], "--tolerance")):
+        code, out, err = run(capsys, *base, *extra)
+        assert code == EXIT_INVALID and out == "" and flag in err
 
 
 def test_sweep_max_valid_flags_hopeless_points(capsys):
@@ -153,6 +174,8 @@ def test_max_valid_d_keeps_branches_in_range():
         # largest magnitude: nudging |d| up violates a bound
         x0_up, x1_up = (a + d + 1e-9) / 2, (a - d - 1e-9) / 2
         assert x0_up > 1 + 1e-12 or x1_up < -1 / 3 - 1e-12 or d == 0.0
+    # outside [-2/3, 2] no d is valid
+    assert math.isnan(max_valid_d(-0.7)) and math.isnan(max_valid_d(2.1))
 
 
 # --------------------------------------------------------------- entropy-rate
@@ -240,3 +263,8 @@ def test_figures_outputs(tmp_path, capsys):
     fig2 = (out_dir / "fig2.csv").read_text()
     assert "crossover" in fig2
     assert fig2.split("\n")[0].split(",").count("f") == 1
+
+    # the bytes of every file match the recorded reference hashes
+    reference = json.loads(FIGURE_HASHES.read_text())
+    assert {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in names} == reference

@@ -175,6 +175,18 @@ def test_bracket_monotone_and_ordered():
         prev = bracket
 
 
+def test_capacity_brackets_match_direct_brackets():
+    # the brackets the estimate carries are the ones entropy_rate_bracket
+    # computes from scratch, bit for bit, at every block length
+    for params in (ChannelParams(mu=2 / 3, a=1 / 3, d=-1.0), ChannelParams(mu=-0.6, a=0.5, d=0.9)):
+        est = product_state_capacity(params, n_max=10, tolerance=0.0)
+        process = process_for(params)
+        assert len(est.brackets) == est.n_used == 10
+        assert est.brackets[-1] == est.rate_bracket
+        for n in range(2, est.n_used + 1):
+            assert est.brackets[n - 1] == entropy_rate_bracket(process, n)
+
+
 def test_bracket_needs_two_symbols():
     with pytest.raises(InvalidParameterError):
         entropy_rate_bracket(process_for(ChannelParams(mu=0.1, a=1.0, d=0.0)), 1)
