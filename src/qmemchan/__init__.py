@@ -35,6 +35,7 @@ from .channel import (
     depolarize_qubit,
     forgetfulness_gap,
     path_weights,
+    pauli_multipliers,
 )
 from .two_qubit import (
     InputAngle,
@@ -73,5 +74,6 @@ from .ensembles import (
     orbit_mutual_information,
     pauli_orbit_ensemble,
     schmidt_pair,
+    stabilizer_spectrum,
     w_state,
 )

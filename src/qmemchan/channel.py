@@ -181,6 +181,26 @@ def _first_branch_distribution(memory: MarkovMemory, initial_memory) -> np.ndarr
     return omega @ memory.transition
 
 
+def pauli_multipliers(params: ChannelParams, supports) -> np.ndarray:
+    """lambda(S) = pi^T D_1 E D_2 E ... E D_n 1 for each row S of ``supports``.
+
+    Gamma_n is Pauli-diagonal: it maps a Pauli string whose non-identity
+    factors sit on S to lambda(S) times itself.  D_t = diag(x0, x1) on S
+    and I off it, so lambda(S) is the expected product of the active
+    branch's x over the support.  ``supports`` is a boolean array (..., n);
+    the result has its leading shape.
+    """
+    supports = np.asarray(supports, dtype=bool)
+    memory = params.memory
+    x = np.array([params.x0, params.x1])
+    vec = memory.stationary
+    for t in range(supports.shape[-1]):
+        if t:
+            vec = vec @ memory.transition
+        vec = np.where(supports[..., t, None], x, 1.0) * vec
+    return vec.sum(axis=-1)
+
+
 def _check_size(n: int, max_qubits: int) -> None:
     if n > max_qubits:
         raise InvalidParameterError(

@@ -6,6 +6,17 @@ channel is its equiprobable Pauli orbit {sigma_w rho sigma_w : w in
 orbit averages to the maximally mixed state, so the ensemble's Holevo
 quantity collapses to I_n = n - S(Gamma_n(rho)) and the 4**n orbit is never
 materialized (except in tests).
+
+S(Gamma_n(rho)) comes from one of two paths:
+
+- dense: build the 2**n x 2**n output with ``apply_gamma_n_fast`` and take
+  its ``eigvalsh`` spectrum; any family, n <= 10.
+- stabilizer: the basis product, GHZ and half-chain states are stabilizer
+  states, so Gamma_n(rho) = 2**-n sum_{g in S} lambda(supp g) g lies in the
+  commutative algebra of their stabilizer group S and ``stabilizer_spectrum``
+  writes its spectrum in closed form from the flip law and
+  ``pauli_multipliers``, with no density matrix; n <= 24 (the
+  flip-string enumeration cap).
 """
 
 from __future__ import annotations
@@ -16,11 +27,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, apply_gamma_n_fast
+from .channel import DEFAULT_MAX_QUBITS, ChannelParams, apply_gamma_n_fast, pauli_multipliers
 from .errors import InvalidParameterError
-from .linalg import ket_to_dm, num_qubits, pauli_conjugate, von_neumann_entropy
+from .hmm_rate import EXACT_ENUMERATION_MAX, FlipProcess, path_measure
+from .linalg import (
+    ket_to_dm,
+    num_qubits,
+    pauli_conjugate,
+    shannon_entropy,
+    von_neumann_entropy,
+)
 
 FAMILY_KINDS = ("product", "ghz", "w", "max_entangled", "schmidt")
+STABILIZER_KINDS = ("product", "ghz", "max_entangled")
+
+# Stabilizer families up to this many qubits still take the dense path.  The
+# closed-form spectra agree with eigvalsh to ~1e-16 per eigenvalue, but at
+# n = 4 and 6 the I_n values move by up to 7.5e-14, which changes 51 cells of
+# fig4.csv/fig5.csv in the 12th significant digit, and the figure bytes are
+# pinned by perfbench/figure_hashes.json.  Once those hashes are regenerated
+# this constant can go and every stabilizer family use stabilizer_spectrum.
+DENSE_STABILIZER_MAX_QUBITS = 8
+
+# one Bell pair: row = its Bell-basis label (Phi+, or one of the other three),
+# column = whether the pair lies in the support; the entry sums the label's
+# characters over the pair's stabilizer elements of that support
+_BELL_PAIR_KERNEL = np.array([[1.0, 3.0], [1.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -139,14 +171,71 @@ class MutualInformation:
     per_use: float
 
 
+def stabilizer_spectrum(family: InputFamily, params: ChannelParams) -> np.ndarray:
+    """Eigenvalues of Gamma_n(rho) for a product, GHZ or half-chain input.
+
+    Unordered, 2**n of them, with multiplicity.  P below is the flip law
+    ``path_measure`` (the output spectrum of any basis product state):
+
+    - product: P.
+    - GHZ: the output is diagonal except for the |0..0><1..1| coherence,
+      which the channel scales by lambda(all qubits).  Each complement pair
+      {z, ~z} other than {0..0, 1..1} gives (P(z) + P(~z))/2 twice; that
+      pair gives (P(0..0) + P(1..1))/2 +/- lambda(all)/2.
+    - max_entangled: m = n/2 Bell pairs (j, j + m), so the output is
+      diagonal in the Bell basis.  lambda is taken on the 2**m pair masks u
+      (qubits j and j + m in the support iff u_j = 1); the eigenvalue of a
+      label B (the pairs not in Phi+) is 2**-n sum_u lambda(u) prod_j
+      K[B_j, u_j] with K = _BELL_PAIR_KERNEL, and has multiplicity 3**|B|.
+    """
+    n = family.n
+    if family.kind not in STABILIZER_KINDS:
+        raise InvalidParameterError(f"family {family.kind!r} is not a stabilizer state")
+    if n > EXACT_ENUMERATION_MAX:
+        raise InvalidParameterError(
+            f"family {family.kind!r}: n = {n} exceeds the cap {EXACT_ENUMERATION_MAX} "
+            "of the stabilizer path"
+        )
+    if family.kind == "max_entangled":
+        m = n // 2
+        bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+        spectrum = pauli_multipliers(params, np.hstack([bits, bits]))
+        for axis in range(m):
+            spectrum = np.einsum(
+                "bu,aur->abr", _BELL_PAIR_KERNEL, spectrum.reshape(2**axis, 2, -1)
+            )
+        return np.repeat(spectrum.ravel() / 2**n, 3 ** bits.sum(axis=1))
+    law = path_measure(FlipProcess.from_params(params), n)
+    if family.kind == "product":
+        return law
+    spectrum = (law + law[::-1]) / 2.0
+    coherence = pauli_multipliers(params, np.ones(n, dtype=bool)) / 2.0
+    spectrum[0] += coherence
+    spectrum[-1] -= coherence
+    return spectrum
+
+
 def orbit_mutual_information(family: InputFamily, params: ChannelParams) -> MutualInformation:
     """I_n = n - S(Gamma_n(rho)) for the family's Pauli-orbit ensemble.
 
     Uses covariance + unitality instead of materializing the orbit.
+    Stabilizer families above DENSE_STABILIZER_MAX_QUBITS take the
+    closed-form ``stabilizer_spectrum`` (n <= 24); every other input is
+    built densely and diagonalized (n <= 10).
     """
-    rho = generate(family)
-    i_n = family.n - von_neumann_entropy(apply_gamma_n_fast(rho, params))
-    return MutualInformation(family=family, i_n=i_n, per_use=i_n / family.n)
+    n = family.n
+    if family.kind in STABILIZER_KINDS and n > DENSE_STABILIZER_MAX_QUBITS:
+        entropy = shannon_entropy(stabilizer_spectrum(family, params))
+    else:
+        if n > DEFAULT_MAX_QUBITS:
+            raise InvalidParameterError(
+                f"family {family.kind!r} at n = {n} needs a dense density matrix; "
+                f"w and schmidt need n <= {DEFAULT_MAX_QUBITS} "
+                f"(product, ghz and max_entangled reach n = {EXACT_ENUMERATION_MAX})"
+            )
+        entropy = von_neumann_entropy(apply_gamma_n_fast(generate(family), params))
+    i_n = n - entropy
+    return MutualInformation(family=family, i_n=i_n, per_use=i_n / n)
 
 
 def default_families(n: int) -> list[InputFamily]:

@@ -16,8 +16,11 @@ from qmemchan import (
     forgetfulness_gap,
     ket_to_dm,
     maximally_mixed,
+    lambda_pair,
     path_weights,
     pauli_conjugate,
+    pauli_multipliers,
+    pauli_string,
     trace_distance,
 )
 
@@ -241,6 +244,24 @@ def test_covariance_random_pauli_strings():
         lhs = apply_gamma_n_fast(pauli_conjugate(rho, indices), params)
         rhs = pauli_conjugate(apply_gamma_n_fast(rho, params), indices)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_pauli_multipliers_are_the_channel_eigenvalues():
+    rng = np.random.default_rng(22)
+    for _ in range(10):
+        params = random_params(rng)
+        indices = rng.integers(0, 4, size=4)
+        string = pauli_string(indices)
+        lam = pauli_multipliers(params, indices > 0)
+        assert np.max(np.abs(apply_gamma_n_fast(string, params) - lam * string)) < 1e-12
+        assert pauli_multipliers(params, [False] * 4) == pytest.approx(1.0, abs=1e-15)
+        assert pauli_multipliers(params, [True, True]) == pytest.approx(
+            lambda_pair(params).c, abs=1e-15)
+    # a batch of supports gives one multiplier per row
+    supports = np.array([[True, False, True], [False, True, True]])
+    batch = pauli_multipliers(params, supports)
+    assert batch.shape == (2,)
+    assert batch[1] == pauli_multipliers(params, supports[1])
 
 
 def test_general_chain_drives_the_branches():

@@ -241,6 +241,28 @@ def test_mutual_info_bad_family(capsys):
     assert "unknown family" in err
 
 
+def test_mutual_info_stabilizer_families_above_the_dense_cap(capsys):
+    code, out, _ = run(capsys, "mutual-info", "--mu", "0.9", "--a", str(2 / 3),
+                       "--d", str(-4 / 3), "--n", "16",
+                       "--families", "product,ghz,max_entangled", "--format", "json")
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert sorted(row["family"] for row in record["rows"]) == ["ghz", "max_entangled", "product"]
+    assert all(0.0 <= row["i_n"] <= 16.0 for row in record["rows"])
+
+
+def test_mutual_info_size_limits_name_the_cap(capsys):
+    flags = ("--mu", "0.9", "--a", str(2 / 3), "--d", str(-4 / 3))
+    code, out, err = run(capsys, "mutual-info", *flags, "--n", "12", "--families", "all")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "'w'" in err and "n <= 10" in err
+    code, out, err = run(capsys, "mutual-info", *flags, "--n", "25", "--families", "product")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "cap 24" in err
+
+
 # -------------------------------------------------------------------- figures
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_params, random_pure_dm
+from qmemchan import ensembles
 from qmemchan import (
     ChannelParams,
     HolevoEnsemble,
@@ -15,6 +16,7 @@ from qmemchan import (
     default_families,
     family_comparison,
     FlipProcess,
+    InvalidStateError,
     generate,
     ghz,
     holevo_quantity,
@@ -23,6 +25,8 @@ from qmemchan import (
     orbit_mutual_information,
     pauli_orbit_ensemble,
     schmidt_pair,
+    shannon_entropy,
+    stabilizer_spectrum,
     threshold_f,
     two_use_capacity,
     von_neumann_entropy,
@@ -193,3 +197,105 @@ def test_identical_branches_favor_product():
             for kind, value in per.items():
                 if kind != "product":
                     assert per["product"] >= value - 1e-12
+
+
+# ------------------------------------------------------- stabilizer spectra
+
+
+def _stabilizer_families(n):
+    families = [basis_product(n), ghz(n)]
+    if n % 2 == 0:
+        families.append(max_entangled_halves(n))
+    return families
+
+
+def _dense_spectrum(family, params):
+    return np.linalg.eigvalsh(apply_gamma_n_fast(generate(family), params))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_stabilizer_spectrum_matches_dense(n):
+    rng = np.random.default_rng(56)
+    # half of the points with negative memory
+    points = [random_params(rng, *span)
+              for span in ((-0.95, 0.0), (0.0, 0.95)) for _ in range(10)]
+    for params in points:
+        for family in _stabilizer_families(n):
+            fast = np.sort(stabilizer_spectrum(family, params))
+            dense = _dense_spectrum(family, params)
+            assert fast.shape == dense.shape
+            assert np.max(np.abs(fast - dense)) <= 1e-12
+            assert abs(shannon_entropy(fast) - shannon_entropy(dense)) <= 1e-12
+
+
+def test_stabilizer_spectrum_rejects_positivity_failures_like_dense():
+    # the fig4 caption sweep: x1 = -1/2 is positive but not completely positive
+    checked = raised = 0
+    for mu in np.linspace(-0.95, 0.95, 39):
+        params = ChannelParams(mu=float(mu), a=1 / 3, d=4 / 3, allow_non_cp=True)
+        for n in (4, 6, 9):
+            for family in _stabilizer_families(n):
+                outcomes = []
+                for entropy_of in (
+                    lambda: shannon_entropy(stabilizer_spectrum(family, params)),
+                    lambda: von_neumann_entropy(apply_gamma_n_fast(generate(family), params)),
+                ):
+                    try:
+                        entropy_of()
+                        outcomes.append(False)
+                    except InvalidStateError:
+                        outcomes.append(True)
+                assert outcomes[0] == outcomes[1], (float(mu), n, family.kind)
+                checked += 1
+                raised += outcomes[0]
+    assert checked == 312
+    assert 0 < raised < checked
+
+
+def test_stabilizer_product_equals_block_entropy_exactly():
+    rng = np.random.default_rng(57)
+    for n in (9, 16):
+        params = random_params(rng)
+        oracle = n - block_entropy(FlipProcess.from_params(params), n)
+        assert n - shannon_entropy(stabilizer_spectrum(basis_product(n), params)) == oracle
+        assert orbit_mutual_information(basis_product(n), params).i_n == oracle
+
+
+def test_stabilizer_spectrum_is_a_distribution_at_long_blocks():
+    params = ChannelParams(mu=0.9, a=2 / 3, d=-4 / 3)
+    for family in _stabilizer_families(16):
+        spectrum = stabilizer_spectrum(family, params)
+        assert spectrum.shape == (2**16,)
+        assert abs(spectrum.sum() - 1.0) < 1e-12
+        assert spectrum.min() >= -1e-15
+
+
+@pytest.mark.parametrize("n", (9, 10))
+def test_stabilizer_families_build_no_density_matrix(monkeypatch, n):
+    calls = []
+
+    def counting(name):
+        original = getattr(ensembles, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("apply_gamma_n_fast", "von_neumann_entropy"):
+        monkeypatch.setattr(ensembles, name, counting(name))
+    params = ChannelParams(mu=0.9, a=2 / 3, d=-4 / 3)
+    for family in _stabilizer_families(n):
+        orbit_mutual_information(family, params)
+    assert calls == []
+    orbit_mutual_information(w_state(n), params)
+    assert sorted(calls) == ["apply_gamma_n_fast", "von_neumann_entropy"]
+
+
+def test_dense_families_are_refused_above_the_dense_cap():
+    params = ChannelParams(mu=0.9, a=2 / 3, d=-4 / 3)
+    with pytest.raises(InvalidParameterError, match="'w'.*n <= 10"):
+        orbit_mutual_information(w_state(11), params)
+    with pytest.raises(InvalidParameterError, match="not a stabilizer state"):
+        stabilizer_spectrum(w_state(4), params)
