@@ -7,11 +7,12 @@ n = 2 and n = 4, but the basis product states overtake them at n = 6 and
 stay ahead out to n = 20 - the numerical core of the
 capacity-equals-product-capacity conjecture.  The product, GHZ and
 half-chain states are stabilizer states, whose output spectra need no
-density matrix; the W state is diagonalized densely, so it stops at n = 10.
+density matrix; the W output is diagonalized as two parity blocks of size
+2^(n-1), so it stops at n = 12.
 """
 
 from qmemchan import ChannelParams, default_families, orbit_mutual_information, threshold_f
-from qmemchan.channel import DEFAULT_MAX_QUBITS
+from qmemchan.ensembles import W_MAX_QUBITS
 
 params = ChannelParams(mu=0.9, a=2 / 3, d=-4 / 3)
 print(f"mu = {params.mu}, a = {params.a:.4f}, d = {params.d:.4f} "
@@ -20,7 +21,7 @@ print(f"mu = {params.mu}, a = {params.a:.4f}, d = {params.d:.4f} "
 kinds = ["product", "ghz", "w", "max_entangled"]
 print(f"{'n':>3} " + " ".join(f"{k:>14}" for k in kinds) + "   best")
 for n in (2, 4, 6, 8, 10, 12, 16, 20):
-    families = [f for f in default_families(n) if f.kind != "w" or n <= DEFAULT_MAX_QUBITS]
+    families = [f for f in default_families(n) if f.kind != "w" or n <= W_MAX_QUBITS]
     per_use = {
         mi.family.kind: mi.per_use
         for mi in (orbit_mutual_information(f, params) for f in families)
@@ -30,4 +31,4 @@ for n in (2, 4, 6, 8, 10, 12, 16, 20):
     print(f"{n:3d} " + " ".join(cells) + f"   {best}")
 
 print("\nper-use values are I_n / n in bits; each row's ensemble is the")
-print(f"equiprobable Pauli orbit of the named state; — marks W above n = {DEFAULT_MAX_QUBITS}.")
+print(f"equiprobable Pauli orbit of the named state; — marks W above n = {W_MAX_QUBITS}.")

@@ -65,6 +65,7 @@ from .ensembles import (
     InputFamily,
     MutualInformation,
     basis_product,
+    check_family_size,
     default_families,
     family_comparison,
     generate,
@@ -75,5 +76,6 @@ from .ensembles import (
     pauli_orbit_ensemble,
     schmidt_pair,
     stabilizer_spectrum,
+    w_spectrum,
     w_state,
 )

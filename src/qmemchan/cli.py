@@ -22,6 +22,7 @@ from .channel import ChannelParams
 from .ensembles import (
     InputFamily,
     basis_product,
+    check_family_size,
     default_families,
     ghz,
     max_entangled_halves,
@@ -355,6 +356,8 @@ def cmd_entropy_rate(args) -> int:
 def cmd_mutual_info(args) -> int:
     params = _resolve_params(args)
     families = _parse_families(args.families, args.n)
+    for family in families:
+        check_family_size(family)
     ranked = sorted(
         (orbit_mutual_information(f, params) for f in families), key=lambda r: -r.per_use
     )

@@ -7,16 +7,23 @@ orbit averages to the maximally mixed state, so the ensemble's Holevo
 quantity collapses to I_n = n - S(Gamma_n(rho)) and the 4**n orbit is never
 materialized (except in tests).
 
-S(Gamma_n(rho)) comes from one of two paths:
+S(Gamma_n(rho)) comes from one of three paths:
 
-- dense: build the 2**n x 2**n output with ``apply_gamma_n_fast`` and take
-  its ``eigvalsh`` spectrum; any family, n <= 10.
+- dense: build the complex 2**n x 2**n output with ``apply_gamma_n_fast``
+  and take its ``eigvalsh`` spectrum; every family up to
+  ALWAYS_DENSE_MAX_QUBITS, and the two-qubit Schmidt family.
 - stabilizer: the basis product, GHZ and half-chain states are stabilizer
   states, so Gamma_n(rho) = 2**-n sum_{g in S} lambda(supp g) g lies in the
   commutative algebra of their stabilizer group S and ``stabilizer_spectrum``
   writes its spectrum in closed form from the flip law and
   ``pauli_multipliers``, with no density matrix; n <= 24 (the
   flip-string enumeration cap).
+- W: the W output is real symmetric and commutes with Z^{(x)n}, so
+  ``w_spectrum`` builds its two parity blocks of size 2**(n-1) directly
+  and diagonalizes them; n <= 12.
+
+``check_family_size`` holds each family's cap and is called before any
+spectrum is computed.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DEFAULT_MAX_QUBITS, ChannelParams, apply_gamma_n_fast, pauli_multipliers
+from .channel import ChannelParams, apply_gamma_n_fast, pauli_multipliers
 from .errors import InvalidParameterError
 from .hmm_rate import EXACT_ENUMERATION_MAX, FlipProcess, path_measure
 from .linalg import (
@@ -41,13 +48,26 @@ from .linalg import (
 FAMILY_KINDS = ("product", "ghz", "w", "max_entangled", "schmidt")
 STABILIZER_KINDS = ("product", "ghz", "max_entangled")
 
-# Stabilizer families up to this many qubits still take the dense path.  The
-# closed-form spectra agree with eigvalsh to ~1e-16 per eigenvalue, but at
-# n = 4 and 6 the I_n values move by up to 7.5e-14, which changes 51 cells of
-# fig4.csv/fig5.csv in the 12th significant digit, and the figure bytes are
-# pinned by perfbench/figure_hashes.json.  Once those hashes are regenerated
-# this constant can go and every stabilizer family use stabilizer_spectrum.
-DENSE_STABILIZER_MAX_QUBITS = 8
+# Every family up to this many qubits still takes the dense path.  The
+# stabilizer and W spectra agree with eigvalsh to ~1e-15 per eigenvalue, but
+# at n = 4 and 6 the stabilizer I_n values move by up to 7.5e-14, which
+# changes 51 cells of fig4.csv/fig5.csv in the 12th significant digit, and
+# the figure bytes (fig3 to fig5, W included) are pinned by
+# perfbench/figure_hashes.json.  Once those hashes are regenerated this
+# constant can go and every family but Schmidt use its own spectrum path.
+ALWAYS_DENSE_MAX_QUBITS = 8
+
+# The W path diagonalizes two dense 2**(n-1) blocks (8 * 2 * 4**(n-1) bytes):
+# on one core W I_n took 0.47 s and 58 MB peak RSS at n = 11 and 3.2 s and
+# 135 MB at n = 12; eigvalsh time grows about 8x per qubit.
+W_MAX_QUBITS = 12
+
+# the largest n each family's spectrum path reaches
+FAMILY_MAX_QUBITS = {
+    **dict.fromkeys(STABILIZER_KINDS, EXACT_ENUMERATION_MAX),
+    "w": W_MAX_QUBITS,
+    "schmidt": 2,
+}
 
 # one Bell pair: row = its Bell-basis label (Phi+, or one of the other three),
 # column = whether the pair lies in the support; the entry sums the label's
@@ -171,6 +191,20 @@ class MutualInformation:
     per_use: float
 
 
+def check_family_size(family: InputFamily) -> None:
+    """Raise InvalidParameterError if the family's n exceeds its cap.
+
+    Depends on the kind and n alone, so callers can check every family
+    before computing any spectrum.
+    """
+    cap = FAMILY_MAX_QUBITS[family.kind]
+    if family.n > cap:
+        caps = ", ".join(f"{kind} {limit}" for kind, limit in FAMILY_MAX_QUBITS.items())
+        raise InvalidParameterError(
+            f"family {family.kind!r}: n = {family.n} exceeds the cap {cap} (caps: {caps})"
+        )
+
+
 def stabilizer_spectrum(family: InputFamily, params: ChannelParams) -> np.ndarray:
     """Eigenvalues of Gamma_n(rho) for a product, GHZ or half-chain input.
 
@@ -191,11 +225,7 @@ def stabilizer_spectrum(family: InputFamily, params: ChannelParams) -> np.ndarra
     n = family.n
     if family.kind not in STABILIZER_KINDS:
         raise InvalidParameterError(f"family {family.kind!r} is not a stabilizer state")
-    if n > EXACT_ENUMERATION_MAX:
-        raise InvalidParameterError(
-            f"family {family.kind!r}: n = {n} exceeds the cap {EXACT_ENUMERATION_MAX} "
-            "of the stabilizer path"
-        )
+    check_family_size(family)
     if family.kind == "max_entangled":
         m = n // 2
         bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
@@ -215,25 +245,72 @@ def stabilizer_spectrum(family: InputFamily, params: ChannelParams) -> np.ndarra
     return spectrum
 
 
+def _w_pair_laws(params: ChannelParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The qubit pairs (s, t), s < t, and the flip law G_st of each.
+
+    G_st is ``path_measure`` with qubits s and t given the coherent emission
+    (x_i, 0): weight x_i, never a flip.  So G_st(z) = 0 unless z_s = z_t = 0,
+    and sum_z G_st(z) = lambda({s, t}).  One forward pass runs all pairs.
+    """
+    process = FlipProcess.from_params(params)
+    flip = process.emission.T  # [symbol, hidden]
+    coherent = np.array([[params.x0, params.x1], [0.0, 0.0]])
+    pairs = np.array(list(itertools.combinations(range(n), 2)))
+    forward = np.broadcast_to(process.memory.stationary, (len(pairs), 1, 2))
+    for t in range(n):
+        if t:
+            forward = forward @ process.memory.transition
+        emission = np.where((pairs == t).any(axis=1)[:, None, None], coherent, flip)
+        forward = (forward[:, :, None, :] * emission[:, None, :, :]).reshape(len(pairs), -1, 2)
+    return pairs, forward.sum(axis=-1)
+
+
+def w_spectrum(n: int, params: ChannelParams) -> np.ndarray:
+    """Eigenvalues of Gamma_n(rho) for the n-qubit W state, unordered, 2**n.
+
+    With e_i the basis index of a 1 on qubit i, Gamma_n maps |e_i><e_j| to
+    sum_z c_ij(z) |e_i ^ z><e_j ^ z| over flip strings z.  The output is
+    therefore real symmetric, and it commutes with Z^{(x)n}: it splits into
+    two parity blocks of size 2**(n-1), where index y sits at row y >> 1.
+    With P the flip law ``path_measure``:
+
+    - diagonal: (1/n) sum_i P(y ^ e_i);
+    - off-diagonal, y ^ y' = e_i ^ e_j with y_i = 1: (1/n) G_ij(y & y'),
+      G from ``_w_pair_laws``.
+    """
+    check_family_size(w_state(n))
+    law = path_measure(FlipProcess.from_params(params), n)
+    index = np.arange(2**n)
+    bit = 1 << np.arange(n - 1, -1, -1)  # qubit 0 is the most significant bit
+    parity = np.bitwise_xor.reduce((index[:, None] & bit) != 0, axis=1).astype(int)
+    blocks = np.zeros((2, 2 ** (n - 1), 2 ** (n - 1)))
+    blocks[parity, index >> 1, index >> 1] = sum(law[index ^ b] for b in bit) / n
+    pairs, laws = _w_pair_laws(params, n)
+    pair_bits = bit[pairs]
+    k, z = np.nonzero((index & pair_bits.sum(axis=1)[:, None]) == 0)
+    y, y_other = z | pair_bits[k, 0], z | pair_bits[k, 1]
+    blocks[parity[y], y >> 1, y_other >> 1] = laws[k, z] / n
+    blocks[parity[y], y_other >> 1, y >> 1] = laws[k, z] / n
+    return np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
+
+
 def orbit_mutual_information(family: InputFamily, params: ChannelParams) -> MutualInformation:
     """I_n = n - S(Gamma_n(rho)) for the family's Pauli-orbit ensemble.
 
-    Uses covariance + unitality instead of materializing the orbit.
-    Stabilizer families above DENSE_STABILIZER_MAX_QUBITS take the
-    closed-form ``stabilizer_spectrum`` (n <= 24); every other input is
-    built densely and diagonalized (n <= 10).
+    Uses covariance + unitality instead of materializing the orbit.  Up to
+    ALWAYS_DENSE_MAX_QUBITS (and for the two-qubit Schmidt family) the
+    output is built densely and diagonalized; above it the W state takes
+    ``w_spectrum`` (n <= 12) and the stabilizer families take
+    ``stabilizer_spectrum`` (n <= 24).
     """
+    check_family_size(family)
     n = family.n
-    if family.kind in STABILIZER_KINDS and n > DENSE_STABILIZER_MAX_QUBITS:
-        entropy = shannon_entropy(stabilizer_spectrum(family, params))
-    else:
-        if n > DEFAULT_MAX_QUBITS:
-            raise InvalidParameterError(
-                f"family {family.kind!r} at n = {n} needs a dense density matrix; "
-                f"w and schmidt need n <= {DEFAULT_MAX_QUBITS} "
-                f"(product, ghz and max_entangled reach n = {EXACT_ENUMERATION_MAX})"
-            )
+    if n <= ALWAYS_DENSE_MAX_QUBITS:
         entropy = von_neumann_entropy(apply_gamma_n_fast(generate(family), params))
+    elif family.kind == "w":
+        entropy = shannon_entropy(w_spectrum(n, params))
+    else:
+        entropy = shannon_entropy(stabilizer_spectrum(family, params))
     i_n = n - entropy
     return MutualInformation(family=family, i_n=i_n, per_use=i_n / n)
 
@@ -260,5 +337,6 @@ def family_comparison(
     for family in families:
         if family.n != n:
             raise InvalidParameterError(f"family {family.kind} has n = {family.n}, expected {n}")
+        check_family_size(family)
     rows = [orbit_mutual_information(family, params) for family in families]
     return sorted(rows, key=lambda row: -row.per_use)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmemchan import ensembles
 from qmemchan.cli import EXIT_INVALID, EXIT_OK, EXIT_TOLERANCE, main, max_valid_d
 from qmemchan import binary_entropy
 
@@ -251,12 +252,16 @@ def test_mutual_info_stabilizer_families_above_the_dense_cap(capsys):
     assert all(0.0 <= row["i_n"] <= 16.0 for row in record["rows"])
 
 
-def test_mutual_info_size_limits_name_the_cap(capsys):
+def test_mutual_info_size_limits_name_the_cap(capsys, monkeypatch):
+    # every family's size is checked before any spectrum is computed
+    calls = []
+    monkeypatch.setattr(ensembles, "stabilizer_spectrum", lambda *args: calls.append(args))
     flags = ("--mu", "0.9", "--a", str(2 / 3), "--d", str(-4 / 3))
-    code, out, err = run(capsys, "mutual-info", *flags, "--n", "12", "--families", "all")
+    code, out, err = run(capsys, "mutual-info", *flags, "--n", "13", "--families", "all")
     assert code == EXIT_INVALID
     assert out == ""
-    assert "'w'" in err and "n <= 10" in err
+    assert "'w'" in err and "cap 12" in err
+    assert calls == []
     code, out, err = run(capsys, "mutual-info", *flags, "--n", "25", "--families", "product")
     assert code == EXIT_INVALID
     assert out == ""

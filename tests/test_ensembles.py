@@ -30,6 +30,7 @@ from qmemchan import (
     threshold_f,
     two_use_capacity,
     von_neumann_entropy,
+    w_spectrum,
     w_state,
 )
 
@@ -213,6 +214,18 @@ def _dense_spectrum(family, params):
     return np.linalg.eigvalsh(apply_gamma_n_fast(generate(family), params))
 
 
+def _dense_entropy(family, params):
+    return von_neumann_entropy(apply_gamma_n_fast(generate(family), params))
+
+
+def _raises_invalid_state(entropy_of):
+    try:
+        entropy_of()
+    except InvalidStateError:
+        return True
+    return False
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_stabilizer_spectrum_matches_dense(n):
     rng = np.random.default_rng(56)
@@ -235,19 +248,13 @@ def test_stabilizer_spectrum_rejects_positivity_failures_like_dense():
         params = ChannelParams(mu=float(mu), a=1 / 3, d=4 / 3, allow_non_cp=True)
         for n in (4, 6, 9):
             for family in _stabilizer_families(n):
-                outcomes = []
-                for entropy_of in (
-                    lambda: shannon_entropy(stabilizer_spectrum(family, params)),
-                    lambda: von_neumann_entropy(apply_gamma_n_fast(generate(family), params)),
-                ):
-                    try:
-                        entropy_of()
-                        outcomes.append(False)
-                    except InvalidStateError:
-                        outcomes.append(True)
-                assert outcomes[0] == outcomes[1], (float(mu), n, family.kind)
+                fast = _raises_invalid_state(
+                    lambda: shannon_entropy(stabilizer_spectrum(family, params))
+                )
+                dense = _raises_invalid_state(lambda: _dense_entropy(family, params))
+                assert fast == dense, (float(mu), n, family.kind)
                 checked += 1
-                raised += outcomes[0]
+                raised += fast
     assert checked == 312
     assert 0 < raised < checked
 
@@ -270,8 +277,7 @@ def test_stabilizer_spectrum_is_a_distribution_at_long_blocks():
         assert spectrum.min() >= -1e-15
 
 
-@pytest.mark.parametrize("n", (9, 10))
-def test_stabilizer_families_build_no_density_matrix(monkeypatch, n):
+def _counting_dense_calls(monkeypatch):
     calls = []
 
     def counting(name):
@@ -285,17 +291,85 @@ def test_stabilizer_families_build_no_density_matrix(monkeypatch, n):
 
     for name in ("apply_gamma_n_fast", "von_neumann_entropy"):
         monkeypatch.setattr(ensembles, name, counting(name))
+    return calls
+
+
+@pytest.mark.parametrize("n", (9, 10))
+def test_stabilizer_families_build_no_density_matrix(monkeypatch, n):
+    calls = _counting_dense_calls(monkeypatch)
     params = ChannelParams(mu=0.9, a=2 / 3, d=-4 / 3)
     for family in _stabilizer_families(n):
         orbit_mutual_information(family, params)
-    assert calls == []
     orbit_mutual_information(w_state(n), params)
-    assert sorted(calls) == ["apply_gamma_n_fast", "von_neumann_entropy"]
+    assert calls == []
 
 
 def test_dense_families_are_refused_above_the_dense_cap():
     params = ChannelParams(mu=0.9, a=2 / 3, d=-4 / 3)
-    with pytest.raises(InvalidParameterError, match="'w'.*n <= 10"):
-        orbit_mutual_information(w_state(11), params)
+    with pytest.raises(InvalidParameterError, match="'w'.*cap 12"):
+        orbit_mutual_information(w_state(13), params)
+    with pytest.raises(InvalidParameterError, match="'w'.*cap 12"):
+        w_spectrum(13, params)
     with pytest.raises(InvalidParameterError, match="not a stabilizer state"):
         stabilizer_spectrum(w_state(4), params)
+
+
+def test_family_comparison_checks_every_size_first(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ensembles, "stabilizer_spectrum", lambda *args: calls.append(args))
+    with pytest.raises(InvalidParameterError, match="'w'.*cap 12"):
+        family_comparison(ChannelParams(mu=0.9, a=2 / 3, d=-4 / 3), 14)
+    assert calls == []
+
+
+# --------------------------------------------------------------- W spectrum
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_w_spectrum_matches_dense(n):
+    rng = np.random.default_rng(58)
+    # dense W costs about 1.7 s per point at n = 10; half of the points with
+    # negative memory
+    per_side = 2 if n >= 9 else 4
+    points = [random_params(rng, *span)
+              for span in ((-0.95, 0.0), (0.0, 0.95)) for _ in range(per_side)]
+    for params in points:
+        fast = np.sort(w_spectrum(n, params))
+        dense = _dense_spectrum(w_state(n), params)
+        assert fast.shape == dense.shape
+        assert np.max(np.abs(fast - dense)) <= 1e-12
+        assert abs(shannon_entropy(fast) - shannon_entropy(dense)) <= 1e-12
+
+
+def test_w_spectrum_rejects_positivity_failures_like_dense():
+    # the fig4 caption sweep: x1 = -1/2 is positive but not completely positive
+    checked = raised = 0
+    for mu in np.linspace(-0.95, 0.95, 39):
+        params = ChannelParams(mu=float(mu), a=1 / 3, d=4 / 3, allow_non_cp=True)
+        for n in (4, 6, 9):
+            fast = _raises_invalid_state(lambda: shannon_entropy(w_spectrum(n, params)))
+            dense = _raises_invalid_state(lambda: _dense_entropy(w_state(n), params))
+            assert fast == dense, (float(mu), n)
+            checked += 1
+            raised += fast
+    assert checked == 117
+    assert 0 < raised < checked
+
+
+def test_w_at_its_cap_builds_no_density_matrix(monkeypatch):
+    calls = _counting_dense_calls(monkeypatch)
+    spectra = []
+    original = ensembles.w_spectrum
+
+    def recording(*args):
+        spectra.append(original(*args))
+        return spectra[-1]
+
+    monkeypatch.setattr(ensembles, "w_spectrum", recording)
+    mi = orbit_mutual_information(w_state(12), ChannelParams(mu=0.9, a=2 / 3, d=-4 / 3))
+    assert calls == []
+    (spectrum,) = spectra
+    assert spectrum.shape == (2**12,)
+    assert abs(spectrum.sum() - 1.0) <= 1e-12
+    assert 0.0 <= mi.i_n <= 12.0
+    assert mi.i_n == 12 - shannon_entropy(spectrum)
