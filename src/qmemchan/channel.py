@@ -14,6 +14,14 @@ once before the first branch fires), so a memoryless chain forgets the
 initial memory immediately.
 
 The memory register is always traced out; only the qubit output is returned.
+
+Every classical quantity of the channel is a product over the memory chain,
+and ``forward`` is its one recursion: the path weights (identity emission),
+the Pauli multipliers lambda(S) = pi^T D_1 E D_2 ... E D_n 1 (one symbol,
+weight x_i on the support), the flip-string law behind the product-state
+capacity and the W-state pair laws are thin callers of it.  Only
+``apply_gamma_n_fast`` keeps its own step, because its accumulators are
+operators.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ X_MIN = -1.0 / 3.0
 X_MAX = 1.0
 X_TOL = 1e-12
 DEFAULT_MAX_QUBITS = 10
+# forward enumerates all 2**n symbol strings; (2**24, 2) float64 is 256 MB
+EXACT_ENUMERATION_MAX = 24
 
 
 @dataclass(frozen=True)
@@ -160,16 +170,46 @@ def depolarize_qubit(op: np.ndarray, qubit: int, x: float) -> np.ndarray:
     return out.reshape(op.shape)
 
 
-def path_weights(memory: MarkovMemory, n: int, initial_memory=None) -> np.ndarray:
-    """Probabilities of all 2**n branch paths, indexed with i_1 as the MSB."""
+def _check_exact(n: int) -> None:
     if n < 1:
         raise InvalidParameterError(f"n = {n} must be >= 1")
-    weights = _first_branch_distribution(memory, initial_memory)
-    for _ in range(n - 1):
-        # index (..., last) -> (..., last, next), weight *= p[last, next]
-        stacked = weights.reshape(-1, 2)
-        weights = (stacked[:, :, None] * memory.transition[None, :, :]).reshape(-1)
-    return weights
+    if n > EXACT_ENUMERATION_MAX:
+        raise InvalidParameterError(
+            f"n = {n} exceeds the exact-enumeration cap {EXACT_ENUMERATION_MAX}"
+        )
+
+
+def forward(transition: np.ndarray, start: np.ndarray, emissions):
+    """Forward recursion over the memory chain, one yield per site.
+
+    ``start`` is the law of the hidden state at site 1 and ``emissions[t][...,
+    k, i]`` weighs symbol k from hidden state i at site t + 1; batch axes
+    broadcast.  After site t it yields fwd[..., s, i] = P(symbols s at sites
+    1..t, hidden_t = i) over all K**t strings s, indexed with site 1 as the
+    most significant digit.  Nothing is yielded for zero sites.
+    """
+    fwd = None
+    for emission in emissions:
+        if fwd is None:
+            fwd = start * emission
+        else:
+            batch = np.broadcast_shapes(fwd.shape[:-2], emission.shape[:-2])
+            # one expression: no temporary stays alive while the generator waits
+            fwd = ((fwd @ transition)[..., :, None, :] * emission[..., None, :, :]).reshape(
+                *batch, -1, 2
+            )
+        yield fwd
+
+
+def path_weights(memory: MarkovMemory, n: int, initial_memory=None) -> np.ndarray:
+    """Probabilities of all 2**n branch paths, indexed with i_1 as the MSB.
+
+    n is capped at EXACT_ENUMERATION_MAX, checked before any allocation."""
+    _check_exact(n)
+    first = _first_branch_distribution(memory, initial_memory)
+    for fwd in forward(memory.transition, first, np.broadcast_to(np.eye(2), (n, 2, 2))):
+        pass
+    return fwd.sum(axis=-1)
 
 
 def _first_branch_distribution(memory: MarkovMemory, initial_memory) -> np.ndarray:
@@ -187,18 +227,19 @@ def pauli_multipliers(params: ChannelParams, supports) -> np.ndarray:
     Gamma_n is Pauli-diagonal: it maps a Pauli string whose non-identity
     factors sit on S to lambda(S) times itself.  D_t = diag(x0, x1) on S
     and I off it, so lambda(S) is the expected product of the active
-    branch's x over the support.  ``supports`` is a boolean array (..., n);
-    the result has its leading shape.
+    branch's x over the support: ``forward`` with one symbol, emitted with
+    weight x_i on the support and 1 off it.  ``supports`` is a boolean
+    array (..., n); the result has its leading shape.
     """
     supports = np.asarray(supports, dtype=bool)
+    if supports.shape[-1] == 0:
+        return np.ones(supports.shape[:-1])
     memory = params.memory
     x = np.array([params.x0, params.x1])
-    vec = memory.stationary
-    for t in range(supports.shape[-1]):
-        if t:
-            vec = vec @ memory.transition
-        vec = np.where(supports[..., t, None], x, 1.0) * vec
-    return vec.sum(axis=-1)
+    emissions = np.where(np.moveaxis(supports, -1, 0)[..., None, None], x, 1.0)
+    for fwd in forward(memory.transition, memory.stationary, emissions):
+        pass
+    return fwd[..., 0, :].sum(axis=-1)
 
 
 def _check_size(n: int, max_qubits: int) -> None:

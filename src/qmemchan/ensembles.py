@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, apply_gamma_n_fast, pauli_multipliers
+from .channel import ChannelParams, apply_gamma_n_fast, forward, pauli_multipliers
 from .errors import InvalidParameterError
 from .hmm_rate import EXACT_ENUMERATION_MAX, FlipProcess, path_measure
 from .linalg import (
@@ -250,19 +250,17 @@ def _w_pair_laws(params: ChannelParams, n: int) -> tuple[np.ndarray, np.ndarray]
 
     G_st is ``path_measure`` with qubits s and t given the coherent emission
     (x_i, 0): weight x_i, never a flip.  So G_st(z) = 0 unless z_s = z_t = 0,
-    and sum_z G_st(z) = lambda({s, t}).  One forward pass runs all pairs.
+    and sum_z G_st(z) = lambda({s, t}).  One ``forward`` pass runs all pairs,
+    with the pairs as a batch axis of the per-site emissions.
     """
     process = FlipProcess.from_params(params)
-    flip = process.emission.T  # [symbol, hidden]
     coherent = np.array([[params.x0, params.x1], [0.0, 0.0]])
     pairs = np.array(list(itertools.combinations(range(n), 2)))
-    forward = np.broadcast_to(process.memory.stationary, (len(pairs), 1, 2))
-    for t in range(n):
-        if t:
-            forward = forward @ process.memory.transition
-        emission = np.where((pairs == t).any(axis=1)[:, None, None], coherent, flip)
-        forward = (forward[:, :, None, :] * emission[:, None, :, :]).reshape(len(pairs), -1, 2)
-    return pairs, forward.sum(axis=-1)
+    on_pair = (pairs == np.arange(n)[:, None, None]).any(axis=-1)  # [site, pair]
+    emissions = np.where(on_pair[..., None, None], coherent, process.emission.T)
+    for fwd in forward(process.memory.transition, process.memory.stationary, emissions):
+        pass
+    return pairs, fwd.sum(axis=-1)
 
 
 def w_spectrum(n: int, params: ChannelParams) -> np.ndarray:

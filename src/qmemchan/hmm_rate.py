@@ -17,15 +17,14 @@ computed exactly by the forward algorithm over all length-n strings.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, MarkovMemory
+from .channel import EXACT_ENUMERATION_MAX, ChannelParams, MarkovMemory, _check_exact, forward
 from .errors import InvalidParameterError
 from .linalg import shannon_entropy
-
-EXACT_ENUMERATION_MAX = 24
 
 
 @dataclass(frozen=True)
@@ -58,36 +57,21 @@ class FlipProcess:
         return cls(memory=memory, emission=emission)
 
 
-def _check_exact(n: int) -> None:
-    if n < 1:
-        raise InvalidParameterError(f"n = {n} must be >= 1")
-    if n > EXACT_ENUMERATION_MAX:
-        raise InvalidParameterError(
-            f"n = {n} exceeds the exact-enumeration cap {EXACT_ENUMERATION_MAX}"
-        )
-
-
 def _string_laws(process: FlipProcess, n: int, initial_state=None):
     """Yield the exact law of the first t flip symbols for t = 1..n, MSB-first.
 
-    The forward algorithm runs over all strings at once: forward[s, i] =
-    P(string s, hidden_t = i).  ``initial_state`` pins the hidden state at
-    time 1 (used by the lower bracket); otherwise the chain starts
-    stationary.  Each law is a fresh array; only the forward variable is
-    kept between steps.
+    ``forward`` with the flip emission runs over all strings at once.
+    ``initial_state`` pins the hidden state at time 1 (used by the lower
+    bracket); otherwise the chain starts stationary.  Each law is a fresh
+    array; only the forward variable is kept between steps.
     """
     if initial_state is None:
         start = process.memory.stationary
     else:
         start = np.zeros(2)
         start[initial_state] = 1.0
-    transition, emission = process.memory.transition, process.emission.T
-    forward = start[None, :] * emission
-    yield forward.sum(axis=1)
-    for _ in range(n - 1):
-        # one expression: no temporary stays alive while the generator waits
-        forward = ((forward @ transition)[:, None, :] * emission[None, :, :]).reshape(-1, 2)
-        yield forward.sum(axis=1)
+    emissions = itertools.repeat(process.emission.T, n)
+    return (fwd.sum(axis=-1) for fwd in forward(process.memory.transition, start, emissions))
 
 
 def path_measure(process: FlipProcess, n: int) -> np.ndarray:
@@ -98,16 +82,10 @@ def path_measure(process: FlipProcess, n: int) -> np.ndarray:
     return measure
 
 
-def _block_entropy_series(process: FlipProcess, n: int, initial_state=None) -> np.ndarray:
-    """H(X_1..X_t) for t = 1..n, optionally conditioned on the first hidden state."""
-    return np.array([shannon_entropy(law) for law in _string_laws(process, n, initial_state)])
-
-
 def block_entropy(process: FlipProcess, n: int) -> float:
     """H of the length-n flip-string law, in bits; equals the output entropy
     of the n-fold channel on any basis product state."""
-    _check_exact(n)
-    return float(_block_entropy_series(process, n)[-1])
+    return shannon_entropy(path_measure(process, n))
 
 
 @dataclass(frozen=True)
@@ -125,10 +103,24 @@ class EntropyRateBracket:
         return self.upper - self.lower
 
 
-def _bracket_from_series(stationary, cond0, cond1, gamma, n) -> EntropyRateBracket:
-    upper = stationary[n - 1] - stationary[n - 2]
-    lower = gamma[0] * (cond0[n - 1] - cond0[n - 2]) + gamma[1] * (cond1[n - 1] - cond1[n - 2])
-    return EntropyRateBracket(lower=float(lower), upper=float(upper), block_length=n)
+def _brackets(process: FlipProcess, n: int):
+    """Yield the entropy-rate bracket at block lengths 1..n.
+
+    At length t, upper = H(X_t | X_1..X_{t-1}) and lower additionally
+    conditions on the hidden state S_1, weighted by its stationary law
+    gamma.  At t = 1 the rate is pinned only by 0 <= rate <= H(X_1).  The
+    three string laws advance together, and each is dropped once its
+    entropy is taken.
+    """
+    gamma = process.memory.stationary
+    laws = [_string_laws(process, n, state) for state in (None, 0, 1)]
+    h, h0, h1 = [shannon_entropy(next(law)) for law in laws]
+    yield EntropyRateBracket(lower=0.0, upper=h, block_length=1)
+    for t in range(2, n + 1):
+        h_next, h0_next, h1_next = [shannon_entropy(next(law)) for law in laws]
+        lower = gamma[0] * (h0_next - h0) + gamma[1] * (h1_next - h1)
+        yield EntropyRateBracket(lower=float(lower), upper=float(h_next - h), block_length=t)
+        h, h0, h1 = h_next, h0_next, h1_next
 
 
 def entropy_rate_bracket(process: FlipProcess, n: int) -> EntropyRateBracket:
@@ -140,10 +132,9 @@ def entropy_rate_bracket(process: FlipProcess, n: int) -> EntropyRateBracket:
     if n < 2:
         raise InvalidParameterError(f"bracket needs n >= 2, got n = {n}")
     _check_exact(n)
-    stationary = _block_entropy_series(process, n)
-    cond0 = _block_entropy_series(process, n, initial_state=0)
-    cond1 = _block_entropy_series(process, n, initial_state=1)
-    return _bracket_from_series(stationary, cond0, cond1, process.memory.stationary, n)
+    for bracket in _brackets(process, n):
+        pass
+    return bracket
 
 
 @dataclass(frozen=True)
@@ -178,19 +169,8 @@ def product_state_capacity(
     if n_max < 1:
         raise InvalidParameterError(f"n_max = {n_max} must be >= 1")
     n_max = min(n_max, EXACT_ENUMERATION_MAX)
-    process = FlipProcess.from_params(params)
-    laws = [_string_laws(process, n_max, initial_state) for initial_state in (None, 0, 1)]
-    series: list[list[float]] = [[], [], []]
     brackets = []
-    for n in range(1, n_max + 1):
-        # one law at a time, each dropped once its entropy is taken
-        for entropies, law in zip(series, laws):
-            entropies.append(shannon_entropy(next(law)))
-        if n == 1:
-            # at n = 1 the rate is pinned only by 0 <= rate <= H(X_1)
-            bracket = EntropyRateBracket(lower=0.0, upper=series[0][0], block_length=1)
-        else:
-            bracket = _bracket_from_series(*series, process.memory.stationary, n)
+    for bracket in _brackets(FlipProcess.from_params(params), n_max):
         brackets.append(bracket)
         if bracket.width / 2.0 <= tolerance:
             break

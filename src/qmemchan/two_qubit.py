@@ -83,7 +83,12 @@ class TwoUseSpectrum:
 
 def lambda_pair(params: ChannelParams) -> TwoUseSpectrum:
     """Two-use flip probabilities: branch-pair weighted products of the
-    per-branch keep/flip probabilities (1 +/- x_i)/2."""
+    per-branch keep/flip probabilities (1 +/- x_i)/2.
+
+    This is the n = 2 case of ``hmm_rate.path_measure`` (lambda00, lambda01,
+    lambda11) and of ``channel.pauli_multipliers`` (c = lambda({0, 1})).  It
+    stays in closed form because its arithmetic fixes the bytes of the
+    fig1 and fig2 datasets."""
     mu = params.mu
     x0, x1 = params.x0, params.x1
     same = (1.0 + mu) / 4.0

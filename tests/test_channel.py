@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from qmemchan import (
     pauli_string,
     trace_distance,
 )
+from qmemchan.channel import forward
 
 
 # ---------------------------------------------------------------- parameters
@@ -95,6 +98,50 @@ def test_path_weights_explicit_products():
         bits = [(path >> (2 - t)) & 1 for t in range(3)]
         expected = 0.5 * p[bits[0], bits[1]] * p[bits[1], bits[2]]
         assert w[path] == pytest.approx(expected, abs=1e-15)
+
+
+def test_path_weights_check_the_size_before_allocating():
+    mem = MarkovMemory.symmetric(0.5)
+    with pytest.raises(InvalidParameterError, match="cap 24"):
+        path_weights(mem, 25)
+    with pytest.raises(InvalidParameterError):
+        path_weights(mem, 0)
+
+
+def _brute_force_forward(transition, start, emissions):
+    """fwd[..., s, i] by summing every hidden path; strings MSB-first."""
+    n = len(emissions)
+    batch = np.broadcast_shapes(*(e.shape[:-2] for e in emissions))
+    symbols = emissions[0].shape[-2]
+    out = np.zeros(batch + (symbols**n, 2))
+    for hidden in itertools.product(range(2), repeat=n):
+        for string in itertools.product(range(symbols), repeat=n):
+            weight = start[hidden[0]] * emissions[0][..., string[0], hidden[0]]
+            for t in range(1, n):
+                weight = weight * transition[hidden[t - 1], hidden[t]]
+                weight = weight * emissions[t][..., string[t], hidden[t]]
+            out[..., np.ravel_multi_index(string, (symbols,) * n), hidden[-1]] += weight
+    return out
+
+
+@pytest.mark.parametrize("symbols", [1, 2])
+def test_forward_matches_a_sum_over_hidden_paths(symbols):
+    # asymmetric chain and a start that is not its stationary law, so a
+    # transposed transition or a swapped start would show
+    mem = MarkovMemory.from_transition([[0.9, 0.1], [0.3, 0.7]])
+    start = np.array([0.2, 0.8])
+    rng = np.random.default_rng(31)
+    for n in range(1, 6):
+        # the first site has no batch axis to broadcast; the others carry 3
+        emissions = [rng.uniform(0.0, 1.0, size=(symbols, 2))]
+        emissions += [rng.uniform(0.0, 1.0, size=(3, symbols, 2)) for _ in range(n - 1)]
+        yields = list(forward(mem.transition, start, emissions))
+        assert len(yields) == n
+        for t, fwd in enumerate(yields, start=1):
+            expected = _brute_force_forward(mem.transition, start, emissions[:t])
+            assert fwd.shape == expected.shape
+            assert np.max(np.abs(fwd - expected)) <= 1e-15
+    assert list(forward(mem.transition, start, [])) == []
 
 
 # ------------------------------------------------------------------ branches
@@ -262,6 +309,10 @@ def test_pauli_multipliers_are_the_channel_eigenvalues():
     batch = pauli_multipliers(params, supports)
     assert batch.shape == (2,)
     assert batch[1] == pauli_multipliers(params, supports[1])
+    # lambda of the empty support is 1, with the leading shape kept
+    empty = pauli_multipliers(params, np.zeros((3, 0), dtype=bool))
+    assert empty.shape == (3,)
+    assert np.all(empty == 1.0)
 
 
 def test_general_chain_drives_the_branches():

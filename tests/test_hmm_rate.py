@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,32 @@ def test_capacity_brackets_match_direct_brackets():
         assert est.brackets[-1] == est.rate_bracket
         for n in range(2, est.n_used + 1):
             assert est.brackets[n - 1] == entropy_rate_bracket(process, n)
+
+
+def test_bracket_on_an_asymmetric_chain_matches_brute_force():
+    # stationary (0.75, 0.25): swapped gamma weights in the lower bracket
+    # would show here, and never on the symmetric chain
+    mem = MarkovMemory.from_transition([[0.9, 0.1], [0.3, 0.7]])
+    process = FlipProcess.from_memory(mem, 0.8, 0.2)
+    for n in range(2, 7):
+        # joint[h, x]: hidden path h and flip string x, both MSB-first
+        joint = np.zeros((2**n, 2**n))
+        for h, hidden in enumerate(itertools.product(range(2), repeat=n)):
+            weight = mem.stationary[hidden[0]]
+            for t in range(1, n):
+                weight *= mem.transition[hidden[t - 1], hidden[t]]
+            for x, flips in enumerate(itertools.product(range(2), repeat=n)):
+                joint[h, x] = weight * np.prod(
+                    [process.emission[state, flip] for state, flip in zip(hidden, flips)]
+                )
+        # S_1 is the most significant bit of h; X^{n-1} drops the last flip
+        with_s1 = joint.reshape(2, 2 ** (n - 1), 2**n).sum(axis=1)
+        strings = with_s1.sum(axis=0)
+        upper = shannon_entropy(strings) - shannon_entropy(strings.reshape(-1, 2).sum(axis=1))
+        lower = shannon_entropy(with_s1) - shannon_entropy(with_s1.reshape(2, -1, 2).sum(axis=2))
+        bracket = entropy_rate_bracket(process, n)
+        assert bracket.upper == pytest.approx(upper, abs=1e-12)
+        assert bracket.lower == pytest.approx(lower, abs=1e-12)
 
 
 def test_bracket_needs_two_symbols():
