@@ -31,12 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidStateError
-from .linalg import maximally_mixed, num_qubits, trace_distance, von_neumann_entropy
+from .linalg import num_qubits, trace_distance, von_neumann_entropy
 
 X_MIN = -1.0 / 3.0
 X_MAX = 1.0
 X_TOL = 1e-12
-DEFAULT_MAX_QUBITS = 10
+# apply_gamma_n(_fast) hold 2**n x 2**n complex operators, 16 * 4**n bytes each
+DENSE_MAX_QUBITS = 10
 # forward enumerates all 2**n symbol strings; (2**24, 2) float64 is 256 MB
 EXACT_ENUMERATION_MAX = 24
 
@@ -50,8 +51,11 @@ class MarkovMemory:
 
     @classmethod
     def from_transition(cls, transition) -> "MarkovMemory":
-        """Build from a 2x2 row-stochastic matrix; the stationary distribution
-        is the normalized left eigenvector for eigenvalue 1."""
+        """Build from a 2x2 row-stochastic matrix.
+
+        The eigenvalues of E are 1 and e00 + e11 - 1, and the stationary law
+        is (e10, e01) / (e01 + e10).
+        """
         e = np.asarray(transition, dtype=float)
         if e.shape != (2, 2):
             raise InvalidParameterError(f"transition matrix shape {e.shape}, want (2, 2)")
@@ -61,20 +65,14 @@ class MarkovMemory:
             raise InvalidParameterError("transition matrix has negative entries")
         if np.max(np.abs(e.sum(axis=1) - 1.0)) > 1e-14:
             raise InvalidParameterError("transition matrix rows do not sum to 1")
-        eigvals, eigvecs = np.linalg.eig(e.T)
-        order = np.argsort(-eigvals.real)
-        second = abs(eigvals[order[1]])
+        second = abs(e[0, 0] + e[1, 1] - 1.0)
         if second >= 1.0 - 1e-13:
             raise InvalidParameterError(
                 f"chain is not ergodic: second eigenvalue modulus {second:.6f}"
             )
-        vec = eigvecs[:, order[0]].real
-        vec = np.abs(vec)
-        stationary = vec / vec.sum()
-        residual = np.max(np.abs(stationary @ e - stationary))
-        if residual > 1e-13:
-            raise InvalidParameterError(f"stationary solve residual {residual:.3e}")
-        return cls(transition=e, stationary=stationary)
+        # entries in [-1e-14, 0) pass the checks above; keep the law non-negative
+        flips = np.maximum([e[1, 0], e[0, 1]], 0.0)
+        return cls(transition=e, stationary=flips / flips.sum())
 
     @classmethod
     def symmetric(cls, mu: float) -> "MarkovMemory":
@@ -89,8 +87,7 @@ class MarkovMemory:
     @property
     def second_eigenvalue(self) -> float:
         """The subdominant eigenvalue of E (mu for the symmetric chain)."""
-        eigvals = np.linalg.eigvals(self.transition)
-        return float(sorted(eigvals.real, key=abs)[0])
+        return float(self.transition[0, 0] + self.transition[1, 1] - 1.0)
 
 
 @dataclass(frozen=True)
@@ -163,10 +160,10 @@ def depolarize_qubit(op: np.ndarray, qubit: int, x: float) -> np.ndarray:
     right = 2 ** (n - qubit - 1)
     work = op.reshape(left, 2, right, left, 2, right)
     reduced = np.einsum("asrbsq->arbq", work)
-    mixed = np.zeros_like(work)
-    mixed[:, 0, :, :, 0, :] = 0.5 * reduced
-    mixed[:, 1, :, :, 1, :] = 0.5 * reduced
-    out = x * work + (1.0 - x) * mixed
+    traced = (1.0 - x) * (0.5 * reduced)
+    out = x * work
+    out[:, 0, :, :, 0, :] += traced
+    out[:, 1, :, :, 1, :] += traced
     return out.reshape(op.shape)
 
 
@@ -242,11 +239,9 @@ def pauli_multipliers(params: ChannelParams, supports) -> np.ndarray:
     return fwd[..., 0, :].sum(axis=-1)
 
 
-def _check_size(n: int, max_qubits: int) -> None:
-    if n > max_qubits:
-        raise InvalidParameterError(
-            f"n = {n} exceeds the configured limit {max_qubits}; raise max_qubits explicitly"
-        )
+def _check_size(n: int) -> None:
+    if n > DENSE_MAX_QUBITS:
+        raise InvalidParameterError(f"n = {n} exceeds the dense-channel cap {DENSE_MAX_QUBITS}")
 
 
 def apply_branch(rho: np.ndarray, params: ChannelParams, path) -> np.ndarray:
@@ -268,7 +263,6 @@ def apply_gamma_n(
     params: ChannelParams,
     initial_memory=None,
     memory: MarkovMemory | None = None,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> np.ndarray:
     """n-fold channel by exact enumeration of all 2**n branch paths.
 
@@ -276,7 +270,7 @@ def apply_gamma_n(
     symmetric chain of ``params.mu`` drives the branches.
     """
     n = num_qubits(rho)
-    _check_size(n, max_qubits)
+    _check_size(n)
     weights = path_weights(memory or params.memory, n, initial_memory)
     out = np.zeros_like(rho, dtype=complex)
     for path_index, weight in enumerate(weights):
@@ -290,7 +284,6 @@ def apply_gamma_n_fast(
     params: ChannelParams,
     initial_memory=None,
     memory: MarkovMemory | None = None,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> np.ndarray:
     """Same map as apply_gamma_n via a dynamic program over the memory state.
 
@@ -298,7 +291,7 @@ def apply_gamma_n_fast(
     left to right; O(n) superoperator applications instead of O(n 2**n).
     """
     n = num_qubits(rho)
-    _check_size(n, max_qubits)
+    _check_size(n)
     memory = memory or params.memory
     first = _first_branch_distribution(memory, initial_memory)
     p = memory.transition
@@ -319,18 +312,20 @@ def apply_gamma_n_fast(
 def forgetfulness_gap(params: ChannelParams, n: int, rho: np.ndarray) -> float:
     """Trace distance between outputs for the two extreme initial memories.
 
-    ``rho`` may have fewer than n qubits; it is then extended on the left
-    with maximally mixed qubits (the trivial extension), so for a fixed
-    single-qubit rho the gap decays like |mu|**n.
+    ``rho`` may have k < n qubits; it then stands for its trivial extension
+    I/2**(n-k) (x) rho, whose maximally mixed qubits go through the channel
+    first.  Every branch leaves those qubits unchanged, so they only advance
+    the memory chain n - k steps: from initial memory omega the k-qubit
+    state sees initial memory omega E**(n-k).  The gap is therefore the trace
+    distance between the k-qubit outputs from the two rows of E**(n-k), and
+    no operator larger than ``rho`` is built.  For a fixed single-qubit rho
+    it decays like |mu|**n.
     """
     k = num_qubits(rho)
     if k > n:
         raise InvalidParameterError(f"state has {k} qubits but n = {n}")
-    if k < n:
-        rho = np.kron(maximally_mixed(n - k), rho)
-    cap = max(n, DEFAULT_MAX_QUBITS)
-    out_zero = apply_gamma_n_fast(rho, params, initial_memory=(1.0, 0.0), max_qubits=cap)
-    out_one = apply_gamma_n_fast(rho, params, initial_memory=(0.0, 1.0), max_qubits=cap)
+    rows = np.linalg.matrix_power(params.memory.transition, n - k)
+    out_zero, out_one = (apply_gamma_n_fast(rho, params, initial_memory=row) for row in rows)
     return trace_distance(out_zero, out_one)
 
 

@@ -95,25 +95,33 @@ def _resolve_params(args) -> ChannelParams:
     return ChannelParams(mu=args.mu, a=args.a, d=args.d)
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
+def _add_mu_a_d_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mu", type=float, help="Markov memory, in (-1, 1)")
     parser.add_argument("--a", type=float, help="x0 + x1")
     parser.add_argument("--d", type=float, help="x0 - x1")
+
+
+def _add_param_flags(parser: argparse.ArgumentParser) -> None:
+    _add_mu_a_d_flags(parser)
     parser.add_argument("--x0", type=float, help="branch-0 retention (alternative to --a/--d)")
     parser.add_argument("--x1", type=float, help="branch-1 retention (alternative to --a/--d)")
 
 
 def _parse_families(names: str, n: int) -> list[InputFamily]:
+    """The named families on n qubits, each checked against its size cap."""
     if names == "all":
-        return default_families(n)
-    families = []
-    for name in names.split(","):
-        name = name.strip()
-        if name not in FAMILY_BUILDERS:
-            raise InvalidParameterError(
-                f"unknown family {name!r}; choose from {sorted(FAMILY_BUILDERS)} or 'all'"
-            )
-        families.append(FAMILY_BUILDERS[name](n))
+        families = default_families(n)
+    else:
+        families = []
+        for name in names.split(","):
+            name = name.strip()
+            if name not in FAMILY_BUILDERS:
+                raise InvalidParameterError(
+                    f"unknown family {name!r}; choose from {sorted(FAMILY_BUILDERS)} or 'all'"
+                )
+            families.append(FAMILY_BUILDERS[name](n))
+    for family in families:
+        check_family_size(family)
     return families
 
 
@@ -356,8 +364,6 @@ def cmd_entropy_rate(args) -> int:
 def cmd_mutual_info(args) -> int:
     params = _resolve_params(args)
     families = _parse_families(args.families, args.n)
-    for family in families:
-        check_family_size(family)
     ranked = sorted(
         (orbit_mutual_information(f, params) for f in families), key=lambda r: -r.per_use
     )
@@ -526,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p2.set_defaults(func=cmd_two_qubit)
 
     ps = sub.add_parser("sweep", help="sweep one parameter axis, emit CSV rows")
-    _add_param_flags(ps)
+    _add_mu_a_d_flags(ps)
     ps.add_argument("--axis", required=True, choices=["mu", "a", "d"])
     ps.add_argument("--lo", type=float, required=True)
     ps.add_argument("--hi", type=float, required=True)

@@ -35,14 +35,13 @@ def num_qubits(rho: np.ndarray) -> int:
     return n
 
 
-def check_density_matrix(rho: np.ndarray, check_psd: bool = False) -> None:
-    """Validate Hermiticity and unit trace (and optionally positivity).
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Validate Hermiticity and unit trace.
 
     Raises
     ------
     InvalidStateError
-        If max |rho - rho^dag| > 1e-12, |tr(rho) - 1| > 1e-12, or (with
-        ``check_psd``) some eigenvalue is below -1e-10.
+        If max |rho - rho^dag| > 1e-12 or |tr(rho) - 1| > 1e-12.
     """
     num_qubits(rho)
     herm_defect = np.max(np.abs(rho - rho.conj().T))
@@ -51,10 +50,6 @@ def check_density_matrix(rho: np.ndarray, check_psd: bool = False) -> None:
     trace_defect = abs(np.trace(rho) - 1.0)
     if trace_defect > TRACE_TOL:
         raise InvalidStateError(f"trace differs from 1 by {trace_defect:.3e}")
-    if check_psd:
-        smallest = np.linalg.eigvalsh(rho)[0]
-        if smallest < EIGENVALUE_FLOOR:
-            raise InvalidStateError(f"negative eigenvalue {smallest:.3e}")
 
 
 def ket_to_dm(psi: np.ndarray) -> np.ndarray:

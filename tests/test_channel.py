@@ -70,8 +70,10 @@ def test_markov_memory_general_chain():
     mem = MarkovMemory.from_transition([[0.9, 0.1], [0.3, 0.7]])
     assert np.max(np.abs(mem.stationary @ mem.transition - mem.stationary)) < 1e-13
     assert mem.stationary[0] == pytest.approx(0.75, abs=1e-12)
-    with pytest.raises(InvalidParameterError):
-        MarkovMemory.from_transition([[1.0, 0.0], [0.0, 1.0]])  # not ergodic
+    assert mem.second_eigenvalue == pytest.approx(0.6, abs=1e-14)
+    for frozen_or_periodic in ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]):
+        with pytest.raises(InvalidParameterError, match="not ergodic"):
+            MarkovMemory.from_transition(frozen_or_periodic)
     with pytest.raises(InvalidParameterError):
         MarkovMemory.from_transition([[0.9, 0.2], [0.3, 0.7]])  # rows don't sum to 1
     for bad in ([[float("nan"), 0.1], [0.3, 0.7]], [[0.9, 0.1], [float("inf"), 0.7]]):
@@ -217,8 +219,11 @@ def test_gamma_input_validation():
     params = ChannelParams(mu=0.2, a=1.0, d=0.2)
     with pytest.raises(InvalidStateError):
         apply_gamma_n(np.eye(3, dtype=complex) / 3.0, params)
-    with pytest.raises(InvalidParameterError):
-        apply_gamma_n(maximally_mixed(3), params, max_qubits=2)
+    # the dense cap is checked before anything of the input's size is built
+    too_big = np.zeros((2**11, 2**11))
+    for apply in (apply_gamma_n, apply_gamma_n_fast):
+        with pytest.raises(InvalidParameterError, match="cap 10"):
+            apply(too_big, params)
 
 
 def test_fast_path_matches_enumeration():
@@ -379,3 +384,30 @@ def test_forgetfulness_decay_ratio_is_mu():
     rho = random_pure_dm(rng, 2)
     expected = 0.35**3 * 0.7 * trace_distance(rho, maximally_mixed(1))
     assert forgetfulness_gap(params, 3, rho) == pytest.approx(expected, rel=1e-12)
+
+
+def test_forgetfulness_gap_matches_the_padded_enumeration():
+    # oracle: the trivially extended state through the enumerated channel
+    rng = np.random.default_rng(26)
+    for mu in (0.7, -0.8):
+        for _ in range(3):
+            x0, x1 = rng.uniform(-1 / 3, 1, size=2)
+            params = ChannelParams.from_x(mu, x0, x1)
+            for k in (1, 2):
+                rho = random_mixed_dm(rng, 2**k)
+                for n in range(k, 6):
+                    padded = np.kron(maximally_mixed(n - k), rho)
+                    expected = trace_distance(
+                        apply_gamma_n(padded, params, initial_memory=(1.0, 0.0)),
+                        apply_gamma_n(padded, params, initial_memory=(0.0, 1.0)))
+                    assert abs(forgetfulness_gap(params, n, rho) - expected) <= 1e-13
+
+
+def test_forgetfulness_gap_over_a_long_block():
+    # 40 uses, far past the dense cap: only the state's own qubit is built
+    params = ChannelParams(mu=0.9, a=0.9, d=0.7)
+    rho = random_pure_dm(np.random.default_rng(27), 2)
+    expected = 0.9**40 * 0.7 * trace_distance(rho, maximally_mixed(1))
+    assert forgetfulness_gap(params, 40, rho) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(InvalidParameterError):
+        forgetfulness_gap(params, 1, random_mixed_dm(np.random.default_rng(28), 4))

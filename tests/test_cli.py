@@ -152,6 +152,11 @@ def test_sweep_validation_errors(capsys):
                         (["--lo", "0.1", "--hi", "0.5", "--tolerance", "nan"], "--tolerance")):
         code, out, err = run(capsys, *base, *extra)
         assert code == EXIT_INVALID and out == "" and flag in err
+    # sweep fixes its point by --mu/--a/--d only; argparse refuses --x0/--x1
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "sweep", "--axis", "mu", "--lo", "0", "--hi", "0.5", "--steps", "3",
+            "--a", "1", "--d", "0", "--x0", "0.3", "--x1", "0.9", "--quantity", "f")
+    assert exc.value.code == 2
 
 
 def test_sweep_max_valid_flags_hopeless_points(capsys):
@@ -258,6 +263,14 @@ def test_mutual_info_size_limits_name_the_cap(capsys, monkeypatch):
     monkeypatch.setattr(ensembles, "stabilizer_spectrum", lambda *args: calls.append(args))
     flags = ("--mu", "0.9", "--a", str(2 / 3), "--d", str(-4 / 3))
     code, out, err = run(capsys, "mutual-info", *flags, "--n", "13", "--families", "all")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "'w'" in err and "cap 12" in err
+    assert calls == []
+    # a sweep checks them before its first grid point
+    code, out, err = run(capsys, "sweep", "--axis", "mu", "--lo", "0", "--hi", "0.5",
+                         "--steps", "3", *flags[2:], "--quantity", "i_n", "--n", "13",
+                         "--families", "product,w")
     assert code == EXIT_INVALID
     assert out == ""
     assert "'w'" in err and "cap 12" in err
