@@ -11,8 +11,8 @@ density matrix; the W output is diagonalized as two parity blocks of size
 2^(n-1), so it stops at n = 12.
 """
 
-from qmemchan import ChannelParams, default_families, orbit_mutual_information, threshold_f
-from qmemchan.ensembles import W_MAX_QUBITS
+from qmemchan import ChannelParams, InputFamily, orbit_mutual_information, threshold_f
+from qmemchan.ensembles import FAMILY_MAX_QUBITS, W_MAX_QUBITS
 
 params = ChannelParams(mu=0.9, a=2 / 3, d=-4 / 3)
 print(f"mu = {params.mu}, a = {params.a:.4f}, d = {params.d:.4f} "
@@ -21,7 +21,9 @@ print(f"mu = {params.mu}, a = {params.a:.4f}, d = {params.d:.4f} "
 kinds = ["product", "ghz", "w", "max_entangled"]
 print(f"{'n':>3} " + " ".join(f"{k:>14}" for k in kinds) + "   best")
 for n in (2, 4, 6, 8, 10, 12, 16, 20):
-    families = [f for f in default_families(n) if f.kind != "w" or n <= W_MAX_QUBITS]
+    # a family refuses an n above its cap, so build only the ones that reach n
+    families = [InputFamily(kind, n) for kind in kinds
+                if n <= FAMILY_MAX_QUBITS[kind] and (kind != "max_entangled" or n % 2 == 0)]
     per_use = {
         mi.family.kind: mi.per_use
         for mi in (orbit_mutual_information(f, params) for f in families)

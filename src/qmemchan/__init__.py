@@ -61,20 +61,15 @@ from .hmm_rate import (
     product_state_capacity,
 )
 from .ensembles import (
-    HolevoEnsemble,
     InputFamily,
     MutualInformation,
     basis_product,
-    check_family_size,
     default_families,
     family_comparison,
     generate,
     ghz,
-    holevo_quantity,
     max_entangled_halves,
     orbit_mutual_information,
-    pauli_orbit_ensemble,
-    schmidt_pair,
     stabilizer_spectrum,
     w_spectrum,
     w_state,

@@ -2,13 +2,15 @@
 
 Subcommands: two-qubit | sweep | entropy-rate | mutual-info | figures.
 CSV output is byte-stable: fixed 12-significant-digit floats, LF endings,
-deterministic row order.  Exit codes: 0 success, 2 invalid input,
-3 tolerance not reached (partial results still printed).
+deterministic row order.  Exit codes: 0 success, 2 invalid input or an
+--out that cannot be written, 3 tolerance not reached (partial results
+still printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -20,14 +22,12 @@ import numpy as np
 from . import __version__
 from .channel import ChannelParams
 from .ensembles import (
+    FAMILY_KINDS,
     InputFamily,
     basis_product,
-    check_family_size,
     default_families,
-    ghz,
     max_entangled_halves,
     orbit_mutual_information,
-    w_state,
 )
 from .errors import InvalidParameterError, InvalidStateError
 from .hmm_rate import (
@@ -44,13 +44,6 @@ EXIT_TOLERANCE = 3
 
 NAN = float("nan")
 PREFIX = ["mu", "a", "d", "x0", "x1", "valid"]  # a point: its parameters and its CP flag
-
-FAMILY_BUILDERS = {
-    "product": basis_product,
-    "ghz": ghz,
-    "w": w_state,
-    "max_entangled": max_entangled_halves,
-}
 
 
 def _fmt(value) -> str:
@@ -108,21 +101,11 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_families(names: str, n: int) -> list[InputFamily]:
-    """The named families on n qubits, each checked against its size cap."""
+    """The named families on n qubits; building one refuses an unknown kind or
+    an n above its cap, so this runs before any spectrum is computed."""
     if names == "all":
-        families = default_families(n)
-    else:
-        families = []
-        for name in names.split(","):
-            name = name.strip()
-            if name not in FAMILY_BUILDERS:
-                raise InvalidParameterError(
-                    f"unknown family {name!r}; choose from {sorted(FAMILY_BUILDERS)} or 'all'"
-                )
-            families.append(FAMILY_BUILDERS[name](n))
-    for family in families:
-        check_family_size(family)
-    return families
+        return default_families(n)
+    return [InputFamily(kind=name.strip(), n=n) for name in names.split(",")]
 
 
 def max_valid_d(a: float) -> float:
@@ -146,19 +129,25 @@ def _record(params: ChannelParams) -> dict:
     return dict(zip(PREFIX, _prefix(params.mu, params.a, params.d, True)))
 
 
-def _try_params(mu, a, d) -> ChannelParams | None:
+def _point_row(lead: list, mu, a, d, columns: list[str], values_of, labels=(),
+               allow_non_cp=False) -> list:
+    """``lead``, the prefix of (mu, a, d), ``labels``, then ``columns`` picked by
+    name from values_of(params).
+
+    The columns are nan where (mu, a, d) is no valid channel or its output
+    fails positivity (only possible with ``allow_non_cp``).  A point built
+    with ``allow_non_cp`` is never flagged valid.
+    """
     try:
-        return ChannelParams(mu=mu, a=a, d=d)
+        params = ChannelParams(mu=mu, a=a, d=d, allow_non_cp=allow_non_cp)
     except InvalidParameterError:
-        return None
-
-
-def _point_row(lead: list, mu, a, d, columns: list[str], values_of) -> list:
-    """``lead``, the prefix of (mu, a, d), then ``columns`` picked by name from
-    values_of(params), or nan where (mu, a, d) is no valid channel."""
-    params = _try_params(mu, a, d)
-    values = dict.fromkeys(columns, NAN) if params is None else values_of(params)
-    return [*lead, *_prefix(mu, a, d, params is not None), *(values[c] for c in columns)]
+        params = None
+    values = dict.fromkeys(columns, NAN)
+    if params is not None:
+        with contextlib.suppress(InvalidStateError):
+            values = values_of(params)
+    valid = params is not None and not allow_non_cp
+    return [*lead, *_prefix(mu, a, d, valid), *labels, *(values[c] for c in columns)]
 
 
 def _two_use_values(params: ChannelParams) -> dict:
@@ -181,34 +170,37 @@ def _two_use_values(params: ChannelParams) -> dict:
     }
 
 
-def _mutual_info_cells(family: InputFamily, params: ChannelParams | None) -> list:
-    if params is None:
-        return [NAN, NAN]
-    try:
+def _family_columns(families: list[InputFamily]) -> list[str]:
+    return [f"{stat}_{family.kind}" for family in families for stat in ("i_n", "per_use")]
+
+
+def _family_values(families: list[InputFamily], params: ChannelParams) -> dict:
+    """i_n_<kind> and per_use_<kind> of each family at one point."""
+    values = {}
+    for family in families:
         mi = orbit_mutual_information(family, params)
-        return [mi.i_n, mi.per_use]
-    except InvalidStateError:
-        return [NAN, NAN]
+        values.update({f"i_n_{family.kind}": mi.i_n, f"per_use_{family.kind}": mi.per_use})
+    return values
 
 
 def _crossovers(grid, point) -> list[tuple[int, float]]:
     """(index, axis value) of each sign change of f between grid[index] and
     grid[index + 1], bisected to 1e-13; point(value) gives (mu, a, d)."""
 
-    def f_at(value: float) -> float | None:
-        params = _try_params(*point(value))
-        return None if params is None else threshold_f(params)
+    def f_at(value: float) -> float:
+        """f at one axis value, nan where it is no valid channel."""
+        return _point_row([], *point(value), ["f"], lambda p: {"f": threshold_f(p)})[-1]
 
     f_values = [f_at(float(value)) for value in grid]
     found = []
     for index, (f_lo, f_hi) in enumerate(zip(f_values, f_values[1:])):
-        if f_lo is None or f_hi is None or f_lo * f_hi >= 0.0:
+        if not f_lo * f_hi < 0.0:  # no sign change, or a point without a channel
             continue
         lo, hi = float(grid[index]), float(grid[index + 1])
         for _ in range(200):
             mid = (lo + hi) / 2.0
             f_mid = f_at(mid)
-            if f_mid is None or f_mid == 0.0:
+            if math.isnan(f_mid) or f_mid == 0.0:
                 break
             if (f_mid < 0.0) == (f_lo < 0.0):
                 lo = mid
@@ -259,11 +251,7 @@ def _sweep_values(args, families: list[InputFamily], params: ChannelParams) -> d
     if args.quantity == "c2":
         return _two_use_values(params)
     if args.quantity in ("f", "i_n"):
-        values = {"f": threshold_f(params)}
-        for family in families:
-            values[f"i_n_{family.kind}"], values[f"per_use_{family.kind}"] = (
-                _mutual_info_cells(family, params))
-        return values
+        return {"f": threshold_f(params), **_family_values(families, params)}
     est = product_state_capacity(params, n_max=args.n_max, tolerance=args.tolerance)
     return {
         "c_prod": est.capacity,
@@ -285,13 +273,13 @@ def cmd_sweep(args) -> int:
     for name in ("mu", "a"):
         if name != args.axis and getattr(args, name) is None:
             raise InvalidParameterError(f"--{name} must be fixed when sweeping {args.axis}")
-    if args.d_mode == "max_valid" and args.axis == "d":
-        raise InvalidParameterError("--d-mode max_valid cannot sweep the d axis")
+    if args.d_mode == "max_valid" and (args.axis == "d" or args.d is not None):
+        raise InvalidParameterError("--d-mode max_valid sets d itself: it takes no --d "
+                                    "and cannot sweep the d axis")
     if args.axis != "d" and args.d is None and args.d_mode != "max_valid":
         raise InvalidParameterError("--d must be fixed (or use --d-mode max_valid)")
     families = _parse_families(args.families, args.n) if args.quantity == "i_n" else []
-    columns = QUANTITY_COLUMNS[args.quantity] + [
-        f"{stat}_{family.kind}" for family in families for stat in ("i_n", "per_use")]
+    columns = QUANTITY_COLUMNS[args.quantity] + _family_columns(families)
 
     values_of = functools.partial(_sweep_values, args, families)
 
@@ -436,41 +424,34 @@ def _fig2_rows():
     return ["panel", "row_type", "axis_value", *PREFIX, *columns], rows
 
 
+def _family_row(lead: list, point, labels: list, family: InputFamily,
+                allow_non_cp=False) -> list:
+    """A fig3 to fig5 row: ``lead``, the prefix, ``labels``, i_n and per_use."""
+    return _point_row(lead, *point, _family_columns([family]),
+                      functools.partial(_family_values, [family]), labels, allow_non_cp)
+
+
 def _fig3_rows():
-    mu, a, d = FIG3["mu"], FIG3["a"], FIG3["d"]
-    params = ChannelParams(mu=mu, a=a, d=d)
-    rows = []
-    for n in FIG3["n"]:
-        for family in default_families(n):
-            rows.append([*_prefix(mu, a, d, True), n, family.kind,
-                         *_mutual_info_cells(family, params)])
+    point = FIG3["mu"], FIG3["a"], FIG3["d"]
+    rows = [_family_row([], point, [n, family.kind], family)
+            for n in FIG3["n"] for family in default_families(n)]
     return [*PREFIX, "n", "family", "i_n", "per_use"], rows
 
 
-def _entangled_grid_rows(n: int, a_span, mu_span):
-    rows = []
-    for mu_value in np.linspace(*mu_span):
-        for a_value in np.linspace(*a_span):
-            mu, a, d = float(mu_value), float(a_value), float(max_valid_d(a_value))
-            params = _try_params(mu, a, d)
-            for family in (basis_product(n), max_entangled_halves(n)):
-                rows.append(["grid", *_prefix(mu, a, d, params is not None), family.kind, n,
-                             *_mutual_info_cells(family, params)])
+def _entangled_grid_rows(fig: dict, a_span, mu_span):
+    n = fig["n"]
+    rows = [_family_row(["grid"], (float(mu), float(a), float(max_valid_d(a))),
+                        [family.kind, n], family)
+            for mu in np.linspace(*mu_span) for a in np.linspace(*a_span)
+            for family in (basis_product(n), max_entangled_halves(n))]
+    if "mu_sweep" in fig:
+        # fig4's caption sweep: a = 1/3, d = 4/3 puts x1 = -1/2 outside the CP
+        # range; rows are kept with cp = 0 and nan wherever positivity fails.
+        a, d = fig["mu_sweep"]["a"], fig["mu_sweep"]["d"]
+        rows += [_family_row(["mu_sweep"], (float(mu), a, d), [family.kind, n], family,
+                             allow_non_cp=True)
+                 for mu in np.linspace(-0.95, 0.95, 39) for family in default_families(n)]
     return ["panel", "mu", "a", "d", "x0", "x1", "cp", "family", "n", "i_n", "per_use"], rows
-
-
-def _fig4_rows():
-    n = FIG4["n"]
-    header, rows = _entangled_grid_rows(n, (-2 / 3, 2.0, 17), (-0.9, 0.9, 13))
-    # caption sweep: a = 1/3, d = 4/3 puts x1 = -1/2 outside the CP range;
-    # rows are kept with cp = 0 and nan entropies wherever positivity fails.
-    a, d = FIG4["mu_sweep"]["a"], FIG4["mu_sweep"]["d"]
-    for mu in np.linspace(-0.95, 0.95, 39):
-        params = ChannelParams(mu=float(mu), a=a, d=d, allow_non_cp=True)
-        for family in default_families(n):
-            rows.append(["mu_sweep", *_prefix(float(mu), a, d, False), family.kind, n,
-                         *_mutual_info_cells(family, params)])
-    return header, rows
 
 
 # output file -> (row builder, manifest entry)
@@ -478,44 +459,44 @@ FIGURES = {
     "fig1.csv": (_fig1_rows, FIG1),
     "fig2.csv": (_fig2_rows, FIG2),
     "fig3.csv": (_fig3_rows, FIG3),
-    "fig4.csv": (_fig4_rows, FIG4),
-    "fig5.csv": (functools.partial(_entangled_grid_rows, FIG5["n"], (-2 / 3, 2.0, 13),
+    "fig4.csv": (functools.partial(_entangled_grid_rows, FIG4, (-2 / 3, 2.0, 17),
+                                   (-0.9, 0.9, 13)), FIG4),
+    "fig5.csv": (functools.partial(_entangled_grid_rows, FIG5, (-2 / 3, 2.0, 13),
                                    (-0.9, 0.9, 9)), FIG5),
 }
 
 
 def cmd_figures(args) -> int:
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, (builder, _) in FIGURES.items():
-            header, rows = builder()
-            _write_csv(header, rows, str(out_dir / name))
-        manifest = {
-            "version": __version__,
-            "log_base": 2,
-            "units": {"capacity": "bits per channel use", "entropy": "bits"},
-            "conventions": {
-                "normalization": "per_use = i_n / n; raw i_n emitted alongside",
-                "max_entangled_bipartition": "first n/2 qubits vs last n/2",
-                "initial_memory": "stationary",
-                "d_max_valid": "d = min(2 - a, a + 2/3); the sign flip relabels branches "
-                               "and leaves every emitted quantity unchanged",
-                "fig4_mu_sweep": "a = 1/3, d = 4/3 lies outside the CP range (x1 = -1/2); "
-                                 "rows carry cp = 0 and nan where output positivity fails",
-            },
-            "figures": {name: entry for name, (_, entry) in FIGURES.items()},
-        }
-        _write_json(manifest, str(out_dir / "manifest.json"))
-    except OSError as exc:
-        print(f"figures: cannot write under {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (builder, _) in FIGURES.items():
+        header, rows = builder()
+        _write_csv(header, rows, str(out_dir / name))
+    manifest = {
+        "version": __version__,
+        "log_base": 2,
+        "units": {"capacity": "bits per channel use", "entropy": "bits"},
+        "conventions": {
+            "normalization": "per_use = i_n / n; raw i_n emitted alongside",
+            "max_entangled_bipartition": "first n/2 qubits vs last n/2",
+            "initial_memory": "stationary",
+            "d_max_valid": "d = min(2 - a, a + 2/3); the sign flip relabels branches "
+                           "and leaves every emitted quantity unchanged",
+            "fig4_mu_sweep": "a = 1/3, d = 4/3 lies outside the CP range (x1 = -1/2); "
+                             "rows carry cp = 0 and nan where output positivity fails",
+        },
+        "figures": {name: entry for name, (_, entry) in FIGURES.items()},
+    }
+    _write_json(manifest, str(out_dir / "manifest.json"))
     return EXIT_OK
 
 
 # ----------------------------------------------------------------------------
 # argument parsing
 # ----------------------------------------------------------------------------
+
+
+FAMILIES_HELP = f"'all' or a comma-separated list of {', '.join(FAMILY_KINDS)}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -541,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="explicit")
     ps.add_argument("--quantity", required=True, choices=list(QUANTITY_COLUMNS))
     ps.add_argument("--n", type=int, default=2, help="qubit count for i_n sweeps")
-    ps.add_argument("--families", default="all")
+    ps.add_argument("--families", default="all", help=FAMILIES_HELP)
     ps.add_argument("--tolerance", type=float, default=1e-4)
     ps.add_argument("--n-max", dest="n_max", type=int, default=20)
     ps.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -558,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("mutual-info", help="per-family orbit mutual information")
     _add_param_flags(pm)
     pm.add_argument("--n", type=int, required=True)
-    pm.add_argument("--families", default="all")
+    pm.add_argument("--families", default="all", help=FAMILIES_HELP)
     pm.add_argument("--format", choices=["csv", "json"], default="csv")
     pm.add_argument("--out", default=None)
     pm.set_defaults(func=cmd_mutual_info)
@@ -575,7 +556,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidParameterError as exc:
+    except (InvalidParameterError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

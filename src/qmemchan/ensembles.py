@@ -11,7 +11,7 @@ S(Gamma_n(rho)) comes from one of three paths:
 
 - dense: build the complex 2**n x 2**n output with ``apply_gamma_n_fast``
   and take its ``eigvalsh`` spectrum; every family up to
-  ALWAYS_DENSE_MAX_QUBITS, and the two-qubit Schmidt family.
+  ALWAYS_DENSE_MAX_QUBITS.
 - stabilizer: the basis product, GHZ and half-chain states are stabilizer
   states, so Gamma_n(rho) = 2**-n sum_{g in S} lambda(supp g) g lies in the
   commutative algebra of their stabilizer group S and ``stabilizer_spectrum``
@@ -22,8 +22,11 @@ S(Gamma_n(rho)) comes from one of three paths:
   ``w_spectrum`` builds its two parity blocks of size 2**(n-1) directly
   and diagonalizes them; n <= 12.
 
-``check_family_size`` holds each family's cap and is called before any
-spectrum is computed.
+An ``InputFamily`` refuses an n above its kind's cap in FAMILY_MAX_QUBITS
+when it is built, so a caller that builds every family first refuses before
+computing any spectrum.  The two-qubit Schmidt states
+cos(theta)|00> + e^{i phi} sin(theta)|11> live in ``two_qubit``
+(``InputAngle``, ``output_eigenvalues``), with closed-form spectra.
 """
 
 from __future__ import annotations
@@ -37,15 +40,9 @@ import numpy as np
 from .channel import ChannelParams, apply_gamma_n_fast, forward, pauli_multipliers
 from .errors import InvalidParameterError
 from .hmm_rate import EXACT_ENUMERATION_MAX, FlipProcess, path_measure
-from .linalg import (
-    ket_to_dm,
-    num_qubits,
-    pauli_conjugate,
-    shannon_entropy,
-    von_neumann_entropy,
-)
+from .linalg import ket_to_dm, shannon_entropy, von_neumann_entropy
 
-FAMILY_KINDS = ("product", "ghz", "w", "max_entangled", "schmidt")
+FAMILY_KINDS = ("product", "ghz", "w", "max_entangled")
 STABILIZER_KINDS = ("product", "ghz", "max_entangled")
 
 # Every family up to this many qubits still takes the dense path.  The
@@ -54,7 +51,7 @@ STABILIZER_KINDS = ("product", "ghz", "max_entangled")
 # changes 51 cells of fig4.csv/fig5.csv in the 12th significant digit, and
 # the figure bytes (fig3 to fig5, W included) are pinned by
 # perfbench/figure_hashes.json.  Once those hashes are regenerated this
-# constant can go and every family but Schmidt use its own spectrum path.
+# constant can go and every family take its own spectrum path.
 ALWAYS_DENSE_MAX_QUBITS = 8
 
 # The W path diagonalizes two dense 2**(n-1) blocks (8 * 2 * 4**(n-1) bytes):
@@ -66,7 +63,6 @@ W_MAX_QUBITS = 12
 FAMILY_MAX_QUBITS = {
     **dict.fromkeys(STABILIZER_KINDS, EXACT_ENUMERATION_MAX),
     "w": W_MAX_QUBITS,
-    "schmidt": 2,
 }
 
 # one Bell pair: row = its Bell-basis label (Phi+, or one of the other three),
@@ -77,30 +73,34 @@ _BELL_PAIR_KERNEL = np.array([[1.0, 3.0], [1.0, -1.0]])
 
 @dataclass(frozen=True)
 class InputFamily:
-    """A named pure input state on n qubits.
+    """A named pure input state on n qubits, n at most its kind's cap.
 
-    kind: 'product' (a computational basis state, see ``bits``), 'ghz', 'w',
-    'max_entangled' (maximal entanglement between the first and second half
-    of the chain, n even) or 'schmidt' (two-qubit cos|00> + e^{i phi} sin|11>).
+    kind: 'product' (a computational basis state, see ``bits``), 'ghz', 'w'
+    or 'max_entangled' (maximal entanglement between the first and second
+    half of the chain, n even).
     """
 
     kind: str
     n: int
     bits: int = 0
-    theta: float = 0.0
-    phi: float = 0.0
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
-            raise InvalidParameterError(f"unknown family kind {self.kind!r}")
+            raise InvalidParameterError(
+                f"unknown family {self.kind!r}; choose from {sorted(FAMILY_KINDS)}"
+            )
         if self.n < 1:
             raise InvalidParameterError(f"n = {self.n} must be >= 1")
         if self.kind == "w" and self.n < 2:
             raise InvalidParameterError("the W state needs n >= 2")
         if self.kind == "max_entangled" and self.n % 2 != 0:
             raise InvalidParameterError("half-chain entanglement needs even n")
-        if self.kind == "schmidt" and self.n != 2:
-            raise InvalidParameterError("the Schmidt-pair family is two-qubit")
+        cap = FAMILY_MAX_QUBITS[self.kind]
+        if self.n > cap:
+            caps = ", ".join(f"{kind} {limit}" for kind, limit in FAMILY_MAX_QUBITS.items())
+            raise InvalidParameterError(
+                f"family {self.kind!r}: n = {self.n} exceeds the cap {cap} (caps: {caps})"
+            )
         if self.kind == "product" and not 0 <= self.bits < 2**self.n:
             raise InvalidParameterError(f"bits = {self.bits} out of range for n = {self.n}")
 
@@ -115,14 +115,11 @@ class InputFamily:
             amp = 1.0 / math.sqrt(self.n)
             for k in range(self.n):
                 psi[1 << k] = amp
-        elif self.kind == "max_entangled":
+        else:  # max_entangled
             half = 2 ** (self.n // 2)
             amp = 1.0 / math.sqrt(half)
             for j in range(half):
                 psi[j * half + j] = amp
-        else:  # schmidt
-            psi[0] = math.cos(self.theta)
-            psi[dim - 1] = math.sin(self.theta) * np.exp(1j * self.phi)
         return psi
 
 
@@ -142,46 +139,9 @@ def max_entangled_halves(n: int) -> InputFamily:
     return InputFamily(kind="max_entangled", n=n)
 
 
-def schmidt_pair(theta: float, phi: float = 0.0) -> InputFamily:
-    return InputFamily(kind="schmidt", n=2, theta=theta, phi=phi)
-
-
 def generate(family: InputFamily) -> np.ndarray:
     """Density matrix of the family's pure state."""
     return ket_to_dm(family.state_vector())
-
-
-@dataclass(frozen=True)
-class HolevoEnsemble:
-    states: tuple
-    probs: np.ndarray
-
-    def __post_init__(self):
-        if len(self.states) != len(self.probs):
-            raise InvalidParameterError("states and probs length mismatch")
-        if abs(float(np.sum(self.probs)) - 1.0) > 1e-12 or np.any(np.asarray(self.probs) < 0):
-            raise InvalidParameterError("probs is not a probability vector")
-        dims = {s.shape for s in self.states}
-        if len(dims) != 1:
-            raise InvalidParameterError(f"mixed state dimensions {dims}")
-
-
-def pauli_orbit_ensemble(rho: np.ndarray) -> HolevoEnsemble:
-    """The explicit equiprobable Pauli orbit of rho (4**n members; small n only)."""
-    n = num_qubits(rho)
-    states = tuple(
-        pauli_conjugate(rho, indices) for indices in itertools.product(range(4), repeat=n)
-    )
-    probs = np.full(len(states), 1.0 / len(states))
-    return HolevoEnsemble(states=states, probs=probs)
-
-
-def holevo_quantity(ensemble: HolevoEnsemble, params: ChannelParams) -> float:
-    """S(average output) - average output entropy for a fixed ensemble, in bits."""
-    outputs = [apply_gamma_n_fast(state, params) for state in ensemble.states]
-    average = sum(p * out for p, out in zip(ensemble.probs, outputs))
-    mean_entropy = sum(p * von_neumann_entropy(out) for p, out in zip(ensemble.probs, outputs))
-    return von_neumann_entropy(average) - mean_entropy
 
 
 @dataclass(frozen=True)
@@ -189,20 +149,6 @@ class MutualInformation:
     family: InputFamily
     i_n: float
     per_use: float
-
-
-def check_family_size(family: InputFamily) -> None:
-    """Raise InvalidParameterError if the family's n exceeds its cap.
-
-    Depends on the kind and n alone, so callers can check every family
-    before computing any spectrum.
-    """
-    cap = FAMILY_MAX_QUBITS[family.kind]
-    if family.n > cap:
-        caps = ", ".join(f"{kind} {limit}" for kind, limit in FAMILY_MAX_QUBITS.items())
-        raise InvalidParameterError(
-            f"family {family.kind!r}: n = {family.n} exceeds the cap {cap} (caps: {caps})"
-        )
 
 
 def stabilizer_spectrum(family: InputFamily, params: ChannelParams) -> np.ndarray:
@@ -225,7 +171,6 @@ def stabilizer_spectrum(family: InputFamily, params: ChannelParams) -> np.ndarra
     n = family.n
     if family.kind not in STABILIZER_KINDS:
         raise InvalidParameterError(f"family {family.kind!r} is not a stabilizer state")
-    check_family_size(family)
     if family.kind == "max_entangled":
         m = n // 2
         bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
@@ -276,7 +221,7 @@ def w_spectrum(n: int, params: ChannelParams) -> np.ndarray:
     - off-diagonal, y ^ y' = e_i ^ e_j with y_i = 1: (1/n) G_ij(y & y'),
       G from ``_w_pair_laws``.
     """
-    check_family_size(w_state(n))
+    w_state(n)  # refuses an n below 2 or above the W cap
     law = path_measure(FlipProcess.from_params(params), n)
     index = np.arange(2**n)
     bit = 1 << np.arange(n - 1, -1, -1)  # qubit 0 is the most significant bit
@@ -296,12 +241,12 @@ def orbit_mutual_information(family: InputFamily, params: ChannelParams) -> Mutu
     """I_n = n - S(Gamma_n(rho)) for the family's Pauli-orbit ensemble.
 
     Uses covariance + unitality instead of materializing the orbit.  Up to
-    ALWAYS_DENSE_MAX_QUBITS (and for the two-qubit Schmidt family) the
-    output is built densely and diagonalized; above it the W state takes
-    ``w_spectrum`` (n <= 12) and the stabilizer families take
-    ``stabilizer_spectrum`` (n <= 24).
+    ALWAYS_DENSE_MAX_QUBITS the output is built densely and diagonalized:
+    that path only keeps the fig3 to fig5 bytes pinned by
+    perfbench/figure_hashes.json.  Above it the W state takes ``w_spectrum``
+    (n <= 12) and the stabilizer families take ``stabilizer_spectrum``
+    (n <= 24).
     """
-    check_family_size(family)
     n = family.n
     if n <= ALWAYS_DENSE_MAX_QUBITS:
         entropy = von_neumann_entropy(apply_gamma_n_fast(generate(family), params))
@@ -335,6 +280,5 @@ def family_comparison(
     for family in families:
         if family.n != n:
             raise InvalidParameterError(f"family {family.kind} has n = {family.n}, expected {n}")
-        check_family_size(family)
     rows = [orbit_mutual_information(family, params) for family in families]
     return sorted(rows, key=lambda row: -row.per_use)

@@ -144,6 +144,11 @@ def test_sweep_validation_errors(capsys):
                        "--steps", "5", "--mu", "0.5", "--a", "1", "--quantity", "f",
                        "--d-mode", "max_valid")
     assert code == EXIT_INVALID
+    # max_valid picks d itself, so a given --d would be ignored
+    code, out, err = run(capsys, "sweep", "--axis", "mu", "--lo", "0", "--hi", "0.5",
+                         "--steps", "3", "--a", "1", "--d", "0.5", "--quantity", "f",
+                         "--d-mode", "max_valid")
+    assert code == EXIT_INVALID and out == "" and "--d" in err
     # non-finite bounds, and a tolerance that is negative or not finite
     base = ["sweep", "--axis", "mu", "--steps", "5", "--a", "1", "--d", "0", "--quantity", "c_prod"]
     for extra, flag in ((["--lo", "nan", "--hi", "0.5"], "--lo"),
@@ -245,6 +250,11 @@ def test_mutual_info_bad_family(capsys):
                        "--n", "2", "--families", "bell")
     assert code == EXIT_INVALID
     assert "unknown family" in err
+    # a known family first does not get its spectrum printed
+    code, out, err = run(capsys, "mutual-info", "--mu", "0.2", "--a", "1", "--d", "0",
+                         "--n", "2", "--families", "product,bell")
+    assert code == EXIT_INVALID
+    assert out == "" and "unknown family 'bell'" in err
 
 
 def test_mutual_info_stabilizer_families_above_the_dense_cap(capsys):
@@ -279,6 +289,35 @@ def test_mutual_info_size_limits_name_the_cap(capsys, monkeypatch):
     assert code == EXIT_INVALID
     assert out == ""
     assert "cap 24" in err
+
+
+# ------------------------------------------------------------------ --out paths
+
+
+POINT = ("--mu", "0.2", "--a", "1", "--d", "0")
+OUT_COMMANDS = {
+    "two-qubit": ("two-qubit", *POINT),
+    "sweep": ("sweep", "--axis", "mu", "--lo", "0", "--hi", "0.5", "--steps", "3",
+              *POINT[2:], "--quantity", "f"),
+    "entropy-rate": ("entropy-rate", *POINT, "--n-max", "4"),
+    "mutual-info": ("mutual-info", *POINT, "--n", "2"),
+    "figures": ("figures",),
+}
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_unwritable_out_exits_invalid_and_names_the_path(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # figures creates missing directories, so only a file in the way stops it
+    targets = [blocker / "x"] if command == "figures" else [tmp_path / "missing" / "x",
+                                                            blocker / "x"]
+    for target in targets:
+        code, out, err = run(capsys, *OUT_COMMANDS[command], "--out", str(target))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith(f"{command}: ") and str(target) in err
+        assert not target.exists()
 
 
 # -------------------------------------------------------------------- figures

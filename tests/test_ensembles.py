@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_params, random_pure_dm
+from helpers import (
+    HolevoEnsemble,
+    holevo_quantity,
+    pauli_orbit_ensemble,
+    random_params,
+    random_pure_dm,
+)
 from qmemchan import ensembles
 from qmemchan import (
     ChannelParams,
-    HolevoEnsemble,
+    InputAngle,
+    InputFamily,
     InvalidParameterError,
     apply_gamma_n_fast,
     basis_ket,
@@ -19,12 +26,9 @@ from qmemchan import (
     InvalidStateError,
     generate,
     ghz,
-    holevo_quantity,
     ket_to_dm,
     max_entangled_halves,
     orbit_mutual_information,
-    pauli_orbit_ensemble,
-    schmidt_pair,
     shannon_entropy,
     stabilizer_spectrum,
     threshold_f,
@@ -43,15 +47,14 @@ BELL = ket_to_dm(np.array([1, 0, 0, 1]) / math.sqrt(2))
 def test_two_qubit_family_coincidences():
     assert np.max(np.abs(generate(ghz(2)) - BELL)) < 1e-14
     assert np.max(np.abs(generate(max_entangled_halves(2)) - BELL)) < 1e-14
-    assert np.max(np.abs(generate(schmidt_pair(math.pi / 4)) - BELL)) < 1e-14
+    assert np.max(np.abs(InputAngle(math.pi / 4).density_matrix() - BELL)) < 1e-14
     w2 = ket_to_dm(np.array([0, 1, 1, 0]) / math.sqrt(2))
     assert np.max(np.abs(generate(w_state(2)) - w2)) < 1e-14
 
 
 def test_generated_states_are_pure_and_normalized():
-    for family in [basis_product(3, 5), ghz(4), w_state(5), max_entangled_halves(4),
-                   schmidt_pair(0.7, 1.3)]:
-        rho = generate(family)
+    families = [basis_product(3, 5), ghz(4), w_state(5), max_entangled_halves(4)]
+    for rho in [*map(generate, families), InputAngle(0.7, 1.3).density_matrix()]:
         assert abs(np.trace(rho) - 1.0) < 1e-13
         assert abs(np.trace(rho @ rho) - 1.0) < 1e-13  # rank one
 
@@ -63,6 +66,17 @@ def test_family_validation():
         max_entangled_halves(3)
     with pytest.raises(InvalidParameterError):
         basis_product(2, 4)
+    # each family refuses an n above its kind's cap when it is built
+    with pytest.raises(InvalidParameterError, match="'w'.*cap 12"):
+        w_state(13)
+    with pytest.raises(InvalidParameterError, match="'product'.*cap 24"):
+        basis_product(25)
+    # the two-qubit Schmidt states are two_qubit.InputAngle, not a family
+    for kind in ("schmidt", "bell"):
+        with pytest.raises(InvalidParameterError, match="unknown family"):
+            InputFamily(kind, 2)
+    with pytest.raises(InvalidParameterError):
+        w_spectrum(1, ChannelParams(mu=0.9, a=2 / 3, d=-4 / 3))
 
 
 def test_ghz_and_max_entangled_structure():
@@ -123,8 +137,8 @@ def test_orbit_information_matches_two_use_branches():
     for _ in range(10):
         params = random_params(rng)
         result = two_use_capacity(params)
-        product = orbit_mutual_information(schmidt_pair(0.0), params)
-        entangled = orbit_mutual_information(schmidt_pair(math.pi / 4), params)
+        product = orbit_mutual_information(basis_product(2), params)
+        entangled = orbit_mutual_information(max_entangled_halves(2), params)
         assert product.i_n == pytest.approx(2.0 * result.c2_product, abs=1e-12)
         assert entangled.i_n == pytest.approx(2.0 * result.c2_entangled, abs=1e-12)
 
