@@ -102,10 +102,15 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 def _parse_families(names: str, n: int) -> list[InputFamily]:
     """The named families on n qubits; building one refuses an unknown kind or
-    an n above its cap, so this runs before any spectrum is computed."""
+    an n above its cap, so this runs before any spectrum is computed.  A kind
+    named twice is refused too."""
     if names == "all":
         return default_families(n)
-    return [InputFamily(kind=name.strip(), n=n) for name in names.split(",")]
+    families = [InputFamily(kind=name.strip(), n=n) for name in names.split(",")]
+    for family in families:
+        if families.count(family) > 1:
+            raise InvalidParameterError(f"family {family.kind!r} is named more than once")
+    return families
 
 
 def max_valid_d(a: float) -> float:
@@ -241,6 +246,15 @@ QUANTITY_COLUMNS = {
 }
 
 
+# options that only some quantities read: dest -> (flag, those quantities, default)
+SWEEP_OPTIONS = {
+    "n": ("--n", ("i_n",), 2),
+    "families": ("--families", ("i_n",), "all"),
+    "tolerance": ("--tolerance", ("c_prod", "bound"), 1e-4),
+    "n_max": ("--n-max", ("c_prod", "bound"), 20),
+}
+
+
 def _check_tolerance(tolerance: float) -> None:
     if not 0.0 <= tolerance < math.inf:
         raise InvalidParameterError(f"--tolerance {tolerance} must be finite and >= 0")
@@ -265,6 +279,12 @@ def _sweep_values(args, families: list[InputFamily], params: ChannelParams) -> d
 
 
 def cmd_sweep(args) -> int:
+    for dest, (flag, quantities, default) in SWEEP_OPTIONS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.quantity not in quantities:
+            raise InvalidParameterError(f"{flag} is read only by --quantity "
+                                        f"{'/'.join(quantities)}, not {args.quantity}")
     if not -math.inf < args.lo < args.hi < math.inf:
         raise InvalidParameterError(f"--lo {args.lo} and --hi {args.hi} must be finite, lo < hi")
     if args.steps < 2:
@@ -521,10 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--d-mode", dest="d_mode", choices=["explicit", "max_valid"],
                     default="explicit")
     ps.add_argument("--quantity", required=True, choices=list(QUANTITY_COLUMNS))
-    ps.add_argument("--n", type=int, default=2, help="qubit count for i_n sweeps")
-    ps.add_argument("--families", default="all", help=FAMILIES_HELP)
-    ps.add_argument("--tolerance", type=float, default=1e-4)
-    ps.add_argument("--n-max", dest="n_max", type=int, default=20)
+    # defaults in SWEEP_OPTIONS, which also names the quantities that read each
+    ps.add_argument("--n", type=int, help="qubit count (i_n only; default 2)")
+    ps.add_argument("--families", help=f"{FAMILIES_HELP} (i_n only; default all)")
+    ps.add_argument("--tolerance", type=float, help="c_prod/bound only (default 1e-4)")
+    ps.add_argument("--n-max", dest="n_max", type=int, help="c_prod/bound only (default 20)")
     ps.add_argument("--format", choices=["csv", "json"], default="csv")
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_sweep)

@@ -12,7 +12,10 @@ bracket it between the standard conditional entropies
 
     H(X_n | X_1..X_{n-1}, S_1)  <=  rate  <=  H(X_n | X_1..X_{n-1})
 
-computed exactly by the forward algorithm over all length-n strings.
+computed exactly by one forward pass over all length-n strings.  That pass
+pins the hidden state S_1 to 0 and to 1 as a batch axis; the stationary
+string law is their mixture gamma_0 P(.|S_1=0) + gamma_1 P(.|S_1=1), so it
+needs no pass of its own.
 """
 
 from __future__ import annotations
@@ -57,29 +60,13 @@ class FlipProcess:
         return cls(memory=memory, emission=emission)
 
 
-def _string_laws(process: FlipProcess, n: int, initial_state=None):
-    """Yield the exact law of the first t flip symbols for t = 1..n, MSB-first.
-
-    ``forward`` with the flip emission runs over all strings at once.
-    ``initial_state`` pins the hidden state at time 1 (used by the lower
-    bracket); otherwise the chain starts stationary.  Each law is a fresh
-    array; only the forward variable is kept between steps.
-    """
-    if initial_state is None:
-        start = process.memory.stationary
-    else:
-        start = np.zeros(2)
-        start[initial_state] = 1.0
-    emissions = itertools.repeat(process.emission.T, n)
-    return (fwd.sum(axis=-1) for fwd in forward(process.memory.transition, start, emissions))
-
-
 def path_measure(process: FlipProcess, n: int) -> np.ndarray:
     """Exact law of the first n flip symbols, indexed MSB-first; sums to 1."""
     _check_exact(n)
-    for measure in _string_laws(process, n):
+    emissions = itertools.repeat(process.emission.T, n)
+    for fwd in forward(process.memory.transition, process.memory.stationary, emissions):
         pass
-    return measure
+    return fwd.sum(axis=-1)
 
 
 def block_entropy(process: FlipProcess, n: int) -> float:
@@ -108,17 +95,21 @@ def _brackets(process: FlipProcess, n: int):
 
     At length t, upper = H(X_t | X_1..X_{t-1}) and lower additionally
     conditions on the hidden state S_1, weighted by its stationary law
-    gamma.  At t = 1 the rate is pinned only by 0 <= rate <= H(X_1).  The
-    three string laws advance together, and each is dropped once its
-    entropy is taken.
+    gamma.  At t = 1 the rate is pinned only by 0 <= rate <= H(X_1).  One
+    forward pass carries the two pinned starts S_1 = 0, 1 as a batch axis;
+    the stationary law is their gamma-mixture.  Each step's laws are dropped
+    once their entropies are taken.
     """
     gamma = process.memory.stationary
-    laws = [_string_laws(process, n, state) for state in (None, 0, 1)]
-    h, h0, h1 = [shannon_entropy(next(law)) for law in laws]
-    yield EntropyRateBracket(lower=0.0, upper=h, block_length=1)
-    for t in range(2, n + 1):
-        h_next, h0_next, h1_next = [shannon_entropy(next(law)) for law in laws]
-        lower = gamma[0] * (h0_next - h0) + gamma[1] * (h1_next - h1)
+    emissions = itertools.repeat(process.emission.T, n)
+    h = 0.0  # H of the empty string
+    for t, fwd in enumerate(forward(process.memory.transition, np.eye(2)[:, None, :], emissions),
+                            start=1):
+        pinned = fwd.sum(axis=-1)
+        h_next = shannon_entropy(gamma @ pinned)
+        h0_next, h1_next = shannon_entropy(pinned[0]), shannon_entropy(pinned[1])
+        del pinned  # not kept alive while forward builds the next, larger step
+        lower = 0.0 if t == 1 else gamma[0] * (h0_next - h0) + gamma[1] * (h1_next - h1)
         yield EntropyRateBracket(lower=float(lower), upper=float(h_next - h), block_length=t)
         h, h0, h1 = h_next, h0_next, h1_next
 

@@ -111,14 +111,18 @@ def test_path_weights_check_the_size_before_allocating():
 
 
 def _brute_force_forward(transition, start, emissions):
-    """fwd[..., s, i] by summing every hidden path; strings MSB-first."""
+    """fwd[..., s, i] by summing every hidden path; strings MSB-first.
+
+    A batched ``start`` has shape (..., 1, 2): its size-1 axis meets the
+    symbol axis."""
+    start = start.reshape(start.shape[:-2] + (2,))
     n = len(emissions)
-    batch = np.broadcast_shapes(*(e.shape[:-2] for e in emissions))
+    batch = np.broadcast_shapes(start.shape[:-1], *(e.shape[:-2] for e in emissions))
     symbols = emissions[0].shape[-2]
     out = np.zeros(batch + (symbols**n, 2))
     for hidden in itertools.product(range(2), repeat=n):
         for string in itertools.product(range(symbols), repeat=n):
-            weight = start[hidden[0]] * emissions[0][..., string[0], hidden[0]]
+            weight = start[..., hidden[0]] * emissions[0][..., string[0], hidden[0]]
             for t in range(1, n):
                 weight = weight * transition[hidden[t - 1], hidden[t]]
                 weight = weight * emissions[t][..., string[t], hidden[t]]
@@ -128,22 +132,31 @@ def _brute_force_forward(transition, start, emissions):
 
 @pytest.mark.parametrize("symbols", [1, 2])
 def test_forward_matches_a_sum_over_hidden_paths(symbols):
-    # asymmetric chain and a start that is not its stationary law, so a
+    # asymmetric chain and starts that are not its stationary law, so a
     # transposed transition or a swapped start would show
     mem = MarkovMemory.from_transition([[0.9, 0.1], [0.3, 0.7]])
-    start = np.array([0.2, 0.8])
     rng = np.random.default_rng(31)
-    for n in range(1, 6):
-        # the first site has no batch axis to broadcast; the others carry 3
-        emissions = [rng.uniform(0.0, 1.0, size=(symbols, 2))]
-        emissions += [rng.uniform(0.0, 1.0, size=(3, symbols, 2)) for _ in range(n - 1)]
-        yields = list(forward(mem.transition, start, emissions))
-        assert len(yields) == n
-        for t, fwd in enumerate(yields, start=1):
-            expected = _brute_force_forward(mem.transition, start, emissions[:t])
-            assert fwd.shape == expected.shape
-            assert np.max(np.abs(fwd - expected)) <= 1e-15
-    assert list(forward(mem.transition, start, [])) == []
+    # (start, batch shape of the emissions after the first site): one start;
+    # the two pinned starts, alone (as the entropy-rate bracket runs them) and
+    # crossed with a (3, 1) emission batch; three starts meeting three emissions
+    cases = (
+        (np.array([0.2, 0.8]), (3,)),
+        (np.eye(2)[:, None, :], ()),
+        (np.eye(2)[:, None, :], (3, 1)),
+        (rng.dirichlet([1.0, 1.0], size=3)[:, None, :], (3,)),
+    )
+    for start, batch in cases:
+        for n in range(1, 6):
+            # the first site has no batch axis to broadcast
+            emissions = [rng.uniform(0.0, 1.0, size=(symbols, 2))]
+            emissions += [rng.uniform(0.0, 1.0, size=batch + (symbols, 2)) for _ in range(n - 1)]
+            yields = list(forward(mem.transition, start, emissions))
+            assert len(yields) == n
+            for t, fwd in enumerate(yields, start=1):
+                expected = _brute_force_forward(mem.transition, start, emissions[:t])
+                assert fwd.shape == expected.shape
+                assert np.max(np.abs(fwd - expected)) <= 1e-15
+        assert list(forward(mem.transition, start, [])) == []
 
 
 # ------------------------------------------------------------------ branches

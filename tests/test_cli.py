@@ -157,6 +157,23 @@ def test_sweep_validation_errors(capsys):
                         (["--lo", "0.1", "--hi", "0.5", "--tolerance", "nan"], "--tolerance")):
         code, out, err = run(capsys, *base, *extra)
         assert code == EXIT_INVALID and out == "" and flag in err
+    # an option the quantity does not read is refused, not ignored; the
+    # quantities that read it still take it
+    base = ["sweep", "--axis", "mu", "--lo", "0.1", "--hi", "0.5", "--steps", "3",
+            "--a", "1", "--d", "0"]
+    for extra, flag in ((["--quantity", "f", "--families", "bell"], "--families"),
+                        (["--quantity", "f", "--n", "99"], "--n"),
+                        (["--quantity", "c2", "--n-max", "99"], "--n-max"),
+                        (["--quantity", "c2", "--tolerance", "5"], "--tolerance"),
+                        (["--quantity", "i_n", "--tolerance", "1e-6"], "--tolerance"),
+                        (["--quantity", "c_prod", "--n", "4"], "--n"),
+                        (["--quantity", "bound", "--families", "ghz"], "--families")):
+        code, out, err = run(capsys, *base, *extra)
+        assert code == EXIT_INVALID and out == "" and flag in err
+    for extra in (["--quantity", "i_n", "--n", "4", "--families", "ghz"],
+                  ["--quantity", "bound", "--n-max", "4", "--tolerance", "1e-6"]):
+        code, out, _ = run(capsys, *base, *extra)
+        assert code == EXIT_OK and out.count("\n") == 4
     # sweep fixes its point by --mu/--a/--d only; argparse refuses --x0/--x1
     with pytest.raises(SystemExit) as exc:
         run(capsys, "sweep", "--axis", "mu", "--lo", "0", "--hi", "0.5", "--steps", "3",
@@ -255,6 +272,15 @@ def test_mutual_info_bad_family(capsys):
                          "--n", "2", "--families", "product,bell")
     assert code == EXIT_INVALID
     assert out == "" and "unknown family 'bell'" in err
+    # a family named twice would print its row, or its columns, twice
+    for kind, command in (("ghz", ("mutual-info", "--mu", "0.2", "--a", "1", "--d", "0",
+                                   "--n", "4", "--families", "ghz,ghz")),
+                          ("product", ("sweep", "--axis", "mu", "--lo", "0", "--hi", "0.5",
+                                       "--steps", "3", "--a", "1", "--d", "0",
+                                       "--quantity", "i_n", "--families", "product,product"))):
+        code, out, err = run(capsys, *command)
+        assert code == EXIT_INVALID
+        assert out == "" and f"family '{kind}' is named more than once" in err
 
 
 def test_mutual_info_stabilizer_families_above_the_dense_cap(capsys):

@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_mixed_dm, random_params
+from qmemchan import hmm_rate
 from qmemchan import (
     ChannelParams,
     FlipProcess,
@@ -26,6 +29,7 @@ from qmemchan import (
     two_use_capacity,
     von_neumann_entropy,
 )
+from qmemchan.channel import forward
 
 
 def process_for(params: ChannelParams) -> FlipProcess:
@@ -213,6 +217,62 @@ def test_bracket_on_an_asymmetric_chain_matches_brute_force():
         bracket = entropy_rate_bracket(process, n)
         assert bracket.upper == pytest.approx(upper, abs=1e-12)
         assert bracket.lower == pytest.approx(lower, abs=1e-12)
+
+
+def test_stationary_law_is_the_mixture_of_the_pinned_laws():
+    # the bracket takes the stationary string law as gamma_0 P(.|S_1=0) +
+    # gamma_1 P(.|S_1=1); path_measure runs the stationary start itself
+    mem = MarkovMemory.from_transition([[0.9, 0.1], [0.3, 0.7]])
+    process = FlipProcess.from_memory(mem, 0.8, 0.2)
+    emissions = itertools.repeat(process.emission.T, 12)
+    pinned_starts = np.eye(2)[:, None, :]
+    for n, fwd in enumerate(forward(mem.transition, pinned_starts, emissions), start=1):
+        mixture = mem.stationary @ fwd.sum(axis=-1)
+        assert np.max(np.abs(mixture - path_measure(process, n))) <= 1e-15
+
+
+def test_brackets_run_one_forward_pass(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(hmm_rate, "forward", counted)
+    params = ChannelParams(mu=2 / 3, a=1 / 3, d=-1.0)
+    product_state_capacity(params, n_max=8, tolerance=0.0)
+    assert len(calls) == 1
+    calls.clear()
+    entropy_rate_bracket(process_for(params), 8)
+    assert len(calls) == 1
+
+
+@st.composite
+def flip_processes(draw):
+    """An ergodic 2x2 chain or the symmetric one (mu < 0 included), with
+    branches in the CP range [-1/3, 1]."""
+    if draw(st.booleans()):
+        memory = MarkovMemory.symmetric(draw(st.floats(-0.95, 0.95)))
+    else:
+        leave_0, leave_1 = draw(st.floats(0.01, 0.99)), draw(st.floats(0.01, 0.99))
+        memory = MarkovMemory.from_transition([[1 - leave_0, leave_0], [leave_1, 1 - leave_1]])
+    x0, x1 = draw(st.floats(-1 / 3, 1.0)), draw(st.floats(-1 / 3, 1.0))
+    return FlipProcess.from_memory(memory, x0, x1)
+
+
+@settings(derandomize=True, deadline=None)
+@given(flip_processes())
+def test_brackets_nest_and_bound_a_capacity_in_the_unit_interval(process):
+    previous = None
+    for n in range(2, 11):
+        bracket = entropy_rate_bracket(process, n)
+        assert bracket.lower <= bracket.upper + 1e-12
+        # the capacity bracket is [1 - upper, 1 - lower]
+        assert -1e-12 <= 1.0 - bracket.upper and 1.0 - bracket.lower <= 1.0 + 1e-12
+        if previous is not None:
+            assert bracket.lower >= previous.lower - 1e-12
+            assert bracket.upper <= previous.upper + 1e-12
+        previous = bracket
 
 
 def test_bracket_needs_two_symbols():
