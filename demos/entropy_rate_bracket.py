@@ -30,7 +30,7 @@ print(f"\nentropy rate      = {est.rate_bracket.estimate:.10f} bits/symbol")
 print(f"product capacity  = {est.capacity:.10f} bits/use "
       f"(bracket [{est.lower:.10f}, {est.upper:.10f}], n = {est.n_used})")
 print(f"memory chain rate = {markov_entropy_rate(params.memory):.10f} bits/symbol")
-print(f"classical capacity upper bound (clamped) = {capacity_upper_bound(params):.10f}")
+print(f"classical capacity upper bound (clamped) = {capacity_upper_bound(params, est):.10f}")
 
 # identical branches make the flips i.i.d. and the bracket collapses at n = 2
 flat = ChannelParams(mu=0.5, a=1.0, d=0.0)

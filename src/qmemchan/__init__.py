@@ -15,7 +15,6 @@ from .linalg import (
     basis_ket,
     ket_to_dm,
     maximally_mixed,
-    partial_trace,
     pauli_conjugate,
     pauli_matrix,
     pauli_string,
@@ -31,7 +30,6 @@ from .channel import (
     apply_gamma_n,
     apply_gamma_n_fast,
     branch_averaged_entropy,
-    depolarize,
     depolarize_qubit,
     forgetfulness_gap,
     path_weights,

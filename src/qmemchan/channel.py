@@ -118,8 +118,8 @@ class ChannelParams:
                 )
 
     @classmethod
-    def from_x(cls, mu: float, x0: float, x1: float, allow_non_cp: bool = False) -> "ChannelParams":
-        return cls(mu=mu, a=x0 + x1, d=x0 - x1, allow_non_cp=allow_non_cp)
+    def from_x(cls, mu: float, x0: float, x1: float) -> "ChannelParams":
+        return cls(mu=mu, a=x0 + x1, d=x0 - x1)
 
     @property
     def x0(self) -> float:
@@ -135,16 +135,6 @@ class ChannelParams:
 
     def branch_x(self, state: int) -> float:
         return self.x0 if state == 0 else self.x1
-
-
-def depolarize(rho: np.ndarray, x: float, allow_non_cp: bool = False) -> np.ndarray:
-    """Single-qubit depolarizing branch x rho + (1-x) I/2."""
-    low = -1.0 if allow_non_cp else X_MIN
-    if not low - X_TOL <= x <= X_MAX + X_TOL:
-        raise InvalidParameterError(f"x = {x:.6g} outside [{low:.6g}, 1]")
-    if rho.shape != (2, 2):
-        raise InvalidStateError(f"expected a 2x2 matrix, got {rho.shape}")
-    return x * rho + (1.0 - x) * np.trace(rho) * np.eye(2) / 2.0
 
 
 def depolarize_qubit(op: np.ndarray, qubit: int, x: float) -> np.ndarray:

@@ -37,9 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, apply_gamma_n_fast, forward, pauli_multipliers
+from .channel import (EXACT_ENUMERATION_MAX, ChannelParams, apply_gamma_n_fast, forward,
+                      pauli_multipliers)
 from .errors import InvalidParameterError
-from .hmm_rate import EXACT_ENUMERATION_MAX, FlipProcess, path_measure
+from .hmm_rate import FlipProcess, path_measure
 from .linalg import ket_to_dm, shannon_entropy, von_neumann_entropy
 
 FAMILY_KINDS = ("product", "ghz", "w", "max_entangled")
@@ -75,14 +76,14 @@ _BELL_PAIR_KERNEL = np.array([[1.0, 3.0], [1.0, -1.0]])
 class InputFamily:
     """A named pure input state on n qubits, n at most its kind's cap.
 
-    kind: 'product' (a computational basis state, see ``bits``), 'ghz', 'w'
-    or 'max_entangled' (maximal entanglement between the first and second
-    half of the chain, n even).
+    kind: 'product' (the basis state |0..0>), 'ghz', 'w' or 'max_entangled'
+    (maximal entanglement between the first and second half of the chain,
+    n even).  Every basis state has the same output spectrum, the flip law,
+    so |0..0> stands for them all.
     """
 
     kind: str
     n: int
-    bits: int = 0
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
@@ -101,14 +102,12 @@ class InputFamily:
             raise InvalidParameterError(
                 f"family {self.kind!r}: n = {self.n} exceeds the cap {cap} (caps: {caps})"
             )
-        if self.kind == "product" and not 0 <= self.bits < 2**self.n:
-            raise InvalidParameterError(f"bits = {self.bits} out of range for n = {self.n}")
 
     def state_vector(self) -> np.ndarray:
         dim = 2**self.n
         psi = np.zeros(dim, dtype=complex)
         if self.kind == "product":
-            psi[self.bits] = 1.0
+            psi[0] = 1.0
         elif self.kind == "ghz":
             psi[0] = psi[dim - 1] = 1.0 / math.sqrt(2.0)
         elif self.kind == "w":
@@ -123,8 +122,8 @@ class InputFamily:
         return psi
 
 
-def basis_product(n: int, bits: int = 0) -> InputFamily:
-    return InputFamily(kind="product", n=n, bits=bits)
+def basis_product(n: int) -> InputFamily:
+    return InputFamily(kind="product", n=n)
 
 
 def ghz(n: int) -> InputFamily:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EXACT_ENUMERATION_MAX, ChannelParams, MarkovMemory, _check_exact, forward
+from .channel import ChannelParams, MarkovMemory, _check_exact, forward
 from .errors import InvalidParameterError
 from .linalg import shannon_entropy
 
@@ -152,18 +152,19 @@ def product_state_capacity(
 ) -> CapacityEstimate:
     """1 - (flip-process entropy rate), bracketed to the requested half-width.
 
-    Grows the block length until the bracket half-width drops below
-    ``tolerance`` or n_max (clamped to the exact-enumeration cap) is hit;
-    a partial bracket is returned (flagged ``converged=False``), never an
-    error.
+    Grows the block length until the bracket half-width |upper - lower| / 2
+    drops to ``tolerance`` or n_max is hit.  Rounding can leave lower a
+    few ulps above upper once the bracket has closed; the absolute value
+    keeps that from passing for convergence.  A partial bracket is returned
+    (flagged ``converged=False``), never an error.  An n_max outside
+    1..EXACT_ENUMERATION_MAX raises InvalidParameterError.
     """
-    if n_max < 1:
-        raise InvalidParameterError(f"n_max = {n_max} must be >= 1")
-    n_max = min(n_max, EXACT_ENUMERATION_MAX)
+    _check_exact(n_max)
     brackets = []
     for bracket in _brackets(FlipProcess.from_params(params), n_max):
         brackets.append(bracket)
-        if bracket.width / 2.0 <= tolerance:
+        converged = abs(bracket.width) / 2.0 <= tolerance
+        if converged:
             break
     return CapacityEstimate(
         capacity=1.0 - bracket.estimate,
@@ -171,7 +172,7 @@ def product_state_capacity(
         upper=1.0 - bracket.lower,
         rate_bracket=bracket,
         n_used=bracket.block_length,
-        converged=bracket.width / 2.0 <= tolerance,
+        converged=converged,
         brackets=tuple(brackets),
     )
 
@@ -187,16 +188,9 @@ def markov_entropy_rate(memory: MarkovMemory) -> float:
     return float(rate)
 
 
-def capacity_upper_bound(
-    params: ChannelParams,
-    n_max: int = 20,
-    tolerance: float = 1e-4,
-    estimate: CapacityEstimate | None = None,
-) -> float:
-    """Upper bound on the full classical capacity: the product-state
-    capacity's upper bracket plus the memory chain's entropy rate, clamped
-    to the 1-bit-per-qubit ceiling."""
-    if estimate is None:
-        estimate = product_state_capacity(params, n_max=n_max, tolerance=tolerance)
+def capacity_upper_bound(params: ChannelParams, estimate: CapacityEstimate) -> float:
+    """Upper bound on the full classical capacity: the upper bracket of
+    ``estimate`` (``product_state_capacity`` of the same params) plus the
+    memory chain's entropy rate, clamped to the 1-bit-per-qubit ceiling."""
     bound = estimate.upper + markov_entropy_rate(params.memory)
     return float(min(1.0, bound))

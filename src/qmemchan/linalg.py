@@ -72,14 +72,13 @@ def maximally_mixed(n: int) -> np.ndarray:
 def shannon_entropy(probs: np.ndarray) -> float:
     """-sum p log2 p with 0 log 0 := 0; tolerates slightly negative entries.
 
-    Entries in [-1e-10, 0) are clamped to zero; anything more negative is an
+    Entries in [-1e-10, 0) count as zeros; anything more negative is an
     error (the distribution is not a distribution).
     """
     p = np.asarray(probs, dtype=float).ravel()
     smallest = p.min() if p.size else 0.0
     if smallest < EIGENVALUE_FLOOR:
         raise InvalidStateError(f"probability {smallest:.3e} below the -1e-10 floor")
-    p = np.where(p > 0.0, p, 0.0)
     nz = p[p > 0.0]
     return float(-np.sum(nz * np.log2(nz)))
 
@@ -136,24 +135,3 @@ def pauli_conjugate(rho: np.ndarray, indices) -> np.ndarray:
         raise InvalidStateError(f"{len(indices)} Pauli indices for {n} qubits")
     u = pauli_string(indices)
     return u @ rho @ u.conj().T
-
-
-def partial_trace(rho: np.ndarray, traced_qubits) -> np.ndarray:
-    """Trace out the given qubits (0-indexed, qubit 0 = MSB).
-
-    The output trace equals the input trace; tracing out everything returns
-    a 1x1 matrix holding the trace.
-    """
-    n = num_qubits(rho)
-    traced = sorted(set(int(q) for q in traced_qubits))
-    if traced and (traced[0] < 0 or traced[-1] >= n):
-        raise InvalidStateError(f"traced qubits {traced} out of range for n={n}")
-    dims = [2] * n
-    work = rho.reshape(dims + dims)
-    removed = 0
-    for q in traced:
-        axis = q - removed
-        work = np.trace(work, axis1=axis, axis2=axis + (n - removed))
-        removed += 1
-    keep = n - removed
-    return work.reshape(2**keep, 2**keep)

@@ -187,23 +187,25 @@ def two_use_capacity(params: ChannelParams) -> TwoUseCapacity:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# grid points of the coarse theta scan, endpoints included
+THETA_GRID_SIZE = 65
 
 
-def numeric_theta_scan(params: ChannelParams, grid_size: int = 65) -> float:
+def numeric_theta_scan(params: ChannelParams) -> float:
     """Grid + golden-section argmin of the output entropy over theta in [0, pi/4].
 
-    Validates the endpoint dichotomy numerically; accurate to 1e-6.  A flat
-    entropy landscape (degenerate channel) returns 0 by convention.
+    The grid has THETA_GRID_SIZE points; golden section then refines the
+    bracket around its best point.  Validates the endpoint dichotomy
+    numerically; accurate to 1e-6.  A flat entropy landscape (degenerate
+    channel) returns 0 by convention.
     """
-    if grid_size < 3:
-        raise InvalidParameterError(f"grid_size = {grid_size} must be >= 3")
-    thetas = np.linspace(0.0, math.pi / 4, grid_size)
+    thetas = np.linspace(0.0, math.pi / 4, THETA_GRID_SIZE)
     values = np.array([_entropy_at(params, t) for t in thetas])
     if values.max() - values.min() < 1e-12:
         return 0.0
     best = int(np.argmin(values))
     lo = thetas[max(best - 1, 0)]
-    hi = thetas[min(best + 1, grid_size - 1)]
+    hi = thetas[min(best + 1, THETA_GRID_SIZE - 1)]
     # golden-section shrink; the objective is unimodal on the bracket
     left = hi - _GOLDEN * (hi - lo)
     right = lo + _GOLDEN * (hi - lo)

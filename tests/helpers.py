@@ -1,10 +1,12 @@
-"""Shared generators for the test suite (seeded numpy sampling), and the
-explicit Pauli-orbit Holevo quantity that the I_n shortcut is checked against."""
+"""Shared generators for the test suite (seeded numpy sampling and a
+hypothesis strategy), and the explicit Pauli-orbit Holevo quantity that the
+I_n shortcut is checked against."""
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qmemchan import (
     ChannelParams,
@@ -21,6 +23,11 @@ def random_params(rng, mu_lo=-0.95, mu_hi=0.95) -> ChannelParams:
     mu = rng.uniform(mu_lo, mu_hi)
     x0, x1 = rng.uniform(-1.0 / 3.0, 1.0, size=2)
     return ChannelParams.from_x(mu, x0, x1)
+
+
+# hypothesis draw over the CP region: mu in [-0.95, 0.95], x0, x1 in [-1/3, 1]
+CP_PARAMS = st.builds(ChannelParams.from_x, st.floats(-0.95, 0.95),
+                      st.floats(-1.0 / 3.0, 1.0), st.floats(-1.0 / 3.0, 1.0))
 
 
 def random_ket(rng, dim) -> np.ndarray:

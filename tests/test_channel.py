@@ -13,7 +13,6 @@ from qmemchan import (
     apply_gamma_n,
     apply_gamma_n_fast,
     basis_ket,
-    depolarize,
     depolarize_qubit,
     forgetfulness_gap,
     ket_to_dm,
@@ -160,19 +159,6 @@ def test_forward_matches_a_sum_over_hidden_paths(symbols):
 
 
 # ------------------------------------------------------------------ branches
-
-
-def test_depolarize():
-    rho = ket_to_dm(basis_ket(1, 0))
-    assert np.allclose(depolarize(rho, 1.0), rho)
-    assert np.allclose(depolarize(rho, 0.0), maximally_mixed(1))
-    assert np.allclose(depolarize(rho, 0.5), np.diag([0.75, 0.25]))
-    with pytest.raises(InvalidParameterError):
-        depolarize(rho, -0.5)
-    with pytest.raises(InvalidParameterError):
-        depolarize(rho, 1.2)
-    with pytest.raises(InvalidParameterError):
-        depolarize(rho, float("nan"))
 
 
 def test_apply_branch_identity_and_coherence():

@@ -238,6 +238,18 @@ def test_entropy_rate_partial_exit_code(capsys):
     assert record["lower"] < record["upper"]
 
 
+def test_n_max_above_the_enumeration_cap_exits_invalid(capsys):
+    # the bracket enumerates 2**n strings, so n_max above the cap is refused,
+    # not silently lowered to it
+    sweep = ("sweep", "--axis", "mu", "--lo", "0.1", "--hi", "0.5", "--steps", "3",
+             "--a", "1", "--d", "0", "--quantity", "c_prod")
+    for command in (("entropy-rate", "--mu", "0.2", "--a", "1", "--d", "0"), sweep):
+        code, out, err = run(capsys, *command, "--n-max", "25")
+        assert code == EXIT_INVALID and out == "" and "cap 24" in err
+        code, out, _ = run(capsys, *command, "--n-max", "24")
+        assert code == EXIT_OK and out != ""
+
+
 # ---------------------------------------------------------------- mutual-info
 
 

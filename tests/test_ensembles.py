@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from helpers import (
+    CP_PARAMS,
     HolevoEnsemble,
     holevo_quantity,
     pauli_orbit_ensemble,
@@ -29,6 +31,8 @@ from qmemchan import (
     ket_to_dm,
     max_entangled_halves,
     orbit_mutual_information,
+    path_measure,
+    pauli_multipliers,
     shannon_entropy,
     stabilizer_spectrum,
     threshold_f,
@@ -53,7 +57,7 @@ def test_two_qubit_family_coincidences():
 
 
 def test_generated_states_are_pure_and_normalized():
-    families = [basis_product(3, 5), ghz(4), w_state(5), max_entangled_halves(4)]
+    families = [basis_product(3), ghz(4), w_state(5), max_entangled_halves(4)]
     for rho in [*map(generate, families), InputAngle(0.7, 1.3).density_matrix()]:
         assert abs(np.trace(rho) - 1.0) < 1e-13
         assert abs(np.trace(rho @ rho) - 1.0) < 1e-13  # rank one
@@ -64,8 +68,6 @@ def test_family_validation():
         w_state(1)
     with pytest.raises(InvalidParameterError):
         max_entangled_halves(3)
-    with pytest.raises(InvalidParameterError):
-        basis_product(2, 4)
     # each family refuses an n above its kind's cap when it is built
     with pytest.raises(InvalidParameterError, match="'w'.*cap 12"):
         w_state(13)
@@ -289,6 +291,27 @@ def test_stabilizer_spectrum_is_a_distribution_at_long_blocks():
         assert spectrum.shape == (2**16,)
         assert abs(spectrum.sum() - 1.0) < 1e-12
         assert spectrum.min() >= -1e-15
+
+
+@given(CP_PARAMS)
+def test_ghz_trails_product_by_at_most_one_bit(params):
+    # S(Gamma_n(GHZ)) = 1 + H(D) + c_n, D the law of Z_t xor Z_{t+1}, and
+    # c_n <= 0 shrinks only the {0..0, 1..1} pair; so I_n(product) - I_n(GHZ)
+    # lies in [c_n, 1], and the two families share one per-use limit
+    process = FlipProcess.from_params(params)
+    for n in range(2, 13):
+        law = path_measure(process, n)
+        lam = pauli_multipliers(params, np.ones(n, dtype=bool))
+        q = law[0] + law[-1]
+        c_n = (shannon_entropy(np.array([q + lam, q - lam]) / 2)
+               - shannon_entropy(np.array([q, q]) / 2))
+        gaps = [shannon_entropy(stabilizer_spectrum(ghz(n), params))
+                - shannon_entropy(stabilizer_spectrum(basis_product(n), params))]
+        if n <= 6:
+            gaps.append(orbit_mutual_information(basis_product(n), params).i_n
+                        - orbit_mutual_information(ghz(n), params).i_n)
+        for gap in gaps:
+            assert c_n - 1e-12 <= gap <= 1.0 + 1e-12
 
 
 def _counting_dense_calls(monkeypatch):

@@ -2,10 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_mixed_dm, random_params
+from helpers import CP_PARAMS, random_mixed_dm, random_params
 from qmemchan import hmm_rate
 from qmemchan import (
     ChannelParams,
@@ -18,10 +18,12 @@ from qmemchan import (
     block_entropy,
     branch_averaged_entropy,
     capacity_upper_bound,
+    default_families,
     entropy_rate_bracket,
     ket_to_dm,
     lambda_pair,
     markov_entropy_rate,
+    orbit_mutual_information,
     path_measure,
     path_weights,
     product_state_capacity,
@@ -260,7 +262,6 @@ def flip_processes(draw):
     return FlipProcess.from_memory(memory, x0, x1)
 
 
-@settings(derandomize=True, deadline=None)
 @given(flip_processes())
 def test_brackets_nest_and_bound_a_capacity_in_the_unit_interval(process):
     previous = None
@@ -304,6 +305,26 @@ def test_capacity_reports_partial_bracket():
     assert est.lower <= est.capacity <= est.upper
 
 
+def test_zero_tolerance_converges_only_on_a_closed_bracket():
+    # rounding can leave lower a few ulps above upper once the bracket has
+    # closed; that negative width must not pass for convergence at tolerance 0
+    rng = np.random.default_rng(7)
+    converged = 0
+    for _ in range(200):
+        est = product_state_capacity(random_params(rng), n_max=16, tolerance=0.0)
+        if est.converged:
+            converged += 1
+            assert est.rate_bracket.width == 0.0
+    assert converged > 0
+
+
+def test_capacity_refuses_n_max_outside_the_enumeration_range():
+    params = ChannelParams(mu=0.5, a=1.0, d=0.0)
+    for n_max in (0, 25):
+        with pytest.raises(InvalidParameterError):
+            product_state_capacity(params, n_max=n_max)
+
+
 def test_capacity_brackets_contain_two_use_product_value():
     # per-use block entropy decreases with n, so the asymptotic product
     # capacity can only improve on the two-use theta=0 value
@@ -336,21 +357,40 @@ def test_markov_rate_general_chain():
 
 
 def test_upper_bound_clamped_to_one():
-    assert capacity_upper_bound(ChannelParams.from_x(0.0, 1.0, 1.0)) == pytest.approx(1.0)
+    params = ChannelParams.from_x(0.0, 1.0, 1.0)
+    assert capacity_upper_bound(params, product_state_capacity(params)) == pytest.approx(1.0)
 
 
 def test_upper_bound_identical_branches_closed_form():
     params = ChannelParams(mu=0.8, a=0.8, d=0.0)
     expected = min(1.0, 1.0 - binary_entropy((2 - 0.8) / 4) + binary_entropy((1 + 0.8) / 2))
-    assert capacity_upper_bound(params, tolerance=1e-10) == pytest.approx(expected, abs=1e-8)
+    estimate = product_state_capacity(params, tolerance=1e-10)
+    assert capacity_upper_bound(params, estimate) == pytest.approx(expected, abs=1e-8)
 
 
 def test_upper_bound_dominates_two_use_capacity():
     rng = np.random.default_rng(45)
     for _ in range(15):
         params = random_params(rng)
-        bound = capacity_upper_bound(params, n_max=16, tolerance=1e-6)
+        estimate = product_state_capacity(params, n_max=16, tolerance=1e-6)
+        bound = capacity_upper_bound(params, estimate)
         assert bound >= two_use_capacity(params).capacity_bits_per_use - 1e-10
+
+
+@given(CP_PARAMS)
+def test_branch_known_capacity_bounds_every_computed_rate(params):
+    # with the branch path known to both sides the capacity is
+    # 1 - sum_s gamma_s h((1 + x_s)/2): minimum output entropy is additive
+    # for unital qubit channels (King, IEEE TIT 49, 2003), so no input, block
+    # length or product-state bracket beats it
+    branches = zip(params.memory.stationary, (params.x0, params.x1))
+    bound = 1.0 - sum(gamma * binary_entropy((1.0 + x) / 2.0) for gamma, x in branches)
+    rates = [two_use_capacity(params).capacity_bits_per_use,
+             product_state_capacity(params, n_max=12, tolerance=1e-6).upper]
+    for n in range(2, 7):
+        rates += [orbit_mutual_information(family, params).per_use
+                  for family in default_families(n)]
+    assert max(rates) <= bound + 1e-12
 
 
 # ------------------------------------------------- branch-entropy inequalities

@@ -8,7 +8,6 @@ from qmemchan import (
     binary_entropy,
     ket_to_dm,
     maximally_mixed,
-    partial_trace,
     pauli_conjugate,
     pauli_matrix,
     shannon_entropy,
@@ -17,9 +16,6 @@ from qmemchan import (
     von_neumann_entropy,
 )
 from qmemchan.errors import InvalidParameterError
-
-BELL = ket_to_dm(np.array([1, 0, 0, 1]) / np.sqrt(2))
-
 
 def test_entropy_maximally_mixed():
     assert von_neumann_entropy(maximally_mixed(1)) == pytest.approx(1.0, abs=1e-13)
@@ -127,20 +123,11 @@ def test_pauli_orbit_averages_to_identity():
         assert np.max(np.abs(orbit / 4**n - maximally_mixed(n))) < 1e-12
 
 
-def test_tensor_and_partial_trace():
+def test_tensor_matches_kron():
     assert np.allclose(tensor(maximally_mixed(1), maximally_mixed(1)), maximally_mixed(2))
-    for qubit in (0, 1):
-        assert np.max(np.abs(partial_trace(BELL, [qubit]) - maximally_mixed(1))) < 1e-14
-
     rng = np.random.default_rng(9)
     rho, sigma = random_mixed_dm(rng, 2), random_mixed_dm(rng, 2)
-    assert np.max(np.abs(partial_trace(tensor(rho, sigma), [1]) - rho)) < 1e-13
-    assert np.max(np.abs(partial_trace(tensor(rho, sigma), [0]) - sigma)) < 1e-13
-
-    big = random_mixed_dm(rng, 8)
-    assert np.trace(partial_trace(big, [2])) == pytest.approx(1.0, abs=1e-13)
-    with pytest.raises(InvalidStateError):
-        partial_trace(big, [3])
+    assert np.array_equal(tensor(rho, sigma), np.kron(rho, sigma))
 
 
 def test_binary_entropy_values():

@@ -263,11 +263,6 @@ def test_scan_degenerate_returns_zero():
     assert numeric_theta_scan(ChannelParams.from_x(0.5, 1.0, 1.0)) == 0.0
 
 
-def test_scan_rejects_tiny_grid():
-    with pytest.raises(InvalidParameterError):
-        numeric_theta_scan(ChannelParams(mu=0.0, a=1.0, d=0.0), grid_size=2)
-
-
 def test_scan_argmin_is_an_endpoint():
     rng = np.random.default_rng(38)
     for _ in range(25):
