@@ -38,7 +38,8 @@ X_MAX = 1.0
 X_TOL = 1e-12
 # apply_gamma_n(_fast) hold 2**n x 2**n complex operators, 16 * 4**n bytes each
 DENSE_MAX_QUBITS = 10
-# forward enumerates all 2**n symbol strings; (2**24, 2) float64 is 256 MB
+# path_measure and path_weights hold all 2**n strings: (2**24, 2) float64 is
+# 256 MB.  The entropy-rate bracket streams them in subtrees but keeps the cap.
 EXACT_ENUMERATION_MAX = 24
 
 
@@ -174,17 +175,19 @@ def forward(transition: np.ndarray, start: np.ndarray, emissions):
     broadcast.  After site t it yields fwd[..., s, i] = P(symbols s at sites
     1..t, hidden_t = i) over all K**t strings s, indexed with site 1 as the
     most significant digit.  Nothing is yielded for zero sites.
+
+    Each later site is one matmul: the transition and the emission fold into
+    step[..., j, 2k + i] = E[j, i] * emission[..., k, i], so column 2k + i of
+    row s of fwd @ step is string s extended by k, in hidden state i.
     """
     fwd = None
     for emission in emissions:
         if fwd is None:
             fwd = start * emission
         else:
-            batch = np.broadcast_shapes(fwd.shape[:-2], emission.shape[:-2])
-            # one expression: no temporary stays alive while the generator waits
-            fwd = ((fwd @ transition)[..., :, None, :] * emission[..., None, :, :]).reshape(
-                *batch, -1, 2
-            )
+            step = transition[:, None, :] * emission[..., None, :, :]
+            fwd = fwd @ step.reshape(*step.shape[:-3], 2, -1)
+            fwd = fwd.reshape(*fwd.shape[:-2], -1, 2)
         yield fwd
 
 

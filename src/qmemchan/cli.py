@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import ChannelParams
+from .channel import EXACT_ENUMERATION_MAX, ChannelParams
 from .ensembles import (
     FAMILY_KINDS,
     InputFamily,
@@ -260,6 +260,12 @@ def _check_tolerance(tolerance: float) -> None:
         raise InvalidParameterError(f"--tolerance {tolerance} must be finite and >= 0")
 
 
+def _check_n_max(n_max: int) -> None:
+    if not 1 <= n_max <= EXACT_ENUMERATION_MAX:
+        raise InvalidParameterError(f"--n-max {n_max} outside 1..{EXACT_ENUMERATION_MAX}, "
+                                    f"the exact-enumeration cap {EXACT_ENUMERATION_MAX}")
+
+
 def _sweep_values(args, families: list[InputFamily], params: ChannelParams) -> dict:
     """The quantity cells of one valid grid point, keyed by column name."""
     if args.quantity == "c2":
@@ -290,6 +296,7 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise InvalidParameterError(f"--steps {args.steps} must be >= 2")
     _check_tolerance(args.tolerance)
+    _check_n_max(args.n_max)
     for name in ("mu", "a"):
         if name != args.axis and getattr(args, name) is None:
             raise InvalidParameterError(f"--{name} must be fixed when sweeping {args.axis}")
@@ -342,6 +349,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_entropy_rate(args) -> int:
     _check_tolerance(args.tolerance)
+    _check_n_max(args.n_max)
     params = _resolve_params(args)
     est = product_state_capacity(params, n_max=args.n_max, tolerance=args.tolerance)
     # the conditional-entropy brackets, n = 2..n_used, must each nest in the last

@@ -12,10 +12,12 @@ bracket it between the standard conditional entropies
 
     H(X_n | X_1..X_{n-1}, S_1)  <=  rate  <=  H(X_n | X_1..X_{n-1})
 
-computed exactly by one forward pass over all length-n strings.  That pass
-pins the hidden state S_1 to 0 and to 1 as a batch axis; the stationary
-string law is their mixture gamma_0 P(.|S_1=0) + gamma_1 P(.|S_1=1), so it
-needs no pass of its own.
+computed exactly over all length-n strings.  The forward passes pin the
+hidden state S_1 to 0 and to 1 as a batch axis; the stationary string law is
+their mixture gamma_0 P(.|S_1=0) + gamma_1 P(.|S_1=1), so it needs no pass of
+its own.  Up to block length SUBTREE_DEPTH one pass yields the brackets as it
+goes; longer strings are enumerated depth first in subtrees of SUBTREE_DEPTH
+sites, so memory stays fixed as n grows.
 """
 
 from __future__ import annotations
@@ -28,6 +30,17 @@ import numpy as np
 from .channel import ChannelParams, MarkovMemory, _check_exact, forward
 from .errors import InvalidParameterError
 from .linalg import shannon_entropy
+
+# sites per forward pass of the bracket: its arrays hold at most
+# 2 x 2**SUBTREE_DEPTH strings (a 4.5 MiB peak at 16), whatever the block length
+SUBTREE_DEPTH = 16
+# block lengths past SUBTREE_DEPTH are bracketed in groups of this many, each
+# from its own subtrees.  A run that stops inside a group pays for at most
+# BRACKET_GROUP - 1 lengths it did not need; a run to n does about
+# 1 / (2**BRACKET_GROUP - 1) more work than one group of all lengths would.
+# 2 keeps a run to n within 4/3, and an early stop within about 3x, of the
+# least work its lengths need.
+BRACKET_GROUP = 2
 
 
 @dataclass(frozen=True)
@@ -90,28 +103,78 @@ class EntropyRateBracket:
         return self.upper - self.lower
 
 
+def _level_entropies(fwd: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """-sum p log2 p of the stationary and the two pinned string laws in a
+    pinned forward array fwd[S_1, string, hidden]."""
+    pinned = fwd[..., 0] + fwd[..., 1]
+    return np.array([shannon_entropy(gamma @ pinned), shannon_entropy(pinned[0]),
+                     shannon_entropy(pinned[1])])
+
+
+def _add_level_entropies(process: FlipProcess, start: np.ndarray, depth: int, low: int,
+                         top: int, totals: np.ndarray) -> None:
+    """Add to totals[t], for low < t <= top, the level entropies of the
+    strings that extend one prefix of ``depth`` sites; ``start`` is the
+    pinned law of the next hidden state jointly with that prefix.
+
+    The first pass is as long as it must be for top - depth to become a
+    multiple of SUBTREE_DEPTH; from there each prefix starts its own pass of
+    SUBTREE_DEPTH sites from alpha_prefix @ E.  The prefixes partition the
+    strings, so their entropy terms add up to the entropy of each level.
+    """
+    transition, gamma = process.memory.transition, process.memory.stationary
+    sites = (top - depth - 1) % SUBTREE_DEPTH + 1
+    emissions = itertools.repeat(process.emission.T, sites)
+    for t, fwd in enumerate(forward(transition, start, emissions), start=depth + 1):
+        if t > low:
+            totals[t] += _level_entropies(fwd, gamma)
+    if t < top:
+        for prefix in range(fwd.shape[1]):
+            _add_level_entropies(process, fwd[:, prefix, None, :] @ transition, t, low, top,
+                                 totals)
+
+
+def _bracket(t: int, previous: np.ndarray, current: np.ndarray,
+             gamma: np.ndarray) -> EntropyRateBracket:
+    """The bracket at length t from the level entropies at t - 1 and t."""
+    h, h0, h1 = previous
+    h_next, h0_next, h1_next = current
+    lower = 0.0 if t == 1 else gamma[0] * (h0_next - h0) + gamma[1] * (h1_next - h1)
+    return EntropyRateBracket(lower=float(lower), upper=float(h_next - h), block_length=t)
+
+
 def _brackets(process: FlipProcess, n: int):
     """Yield the entropy-rate bracket at block lengths 1..n.
 
     At length t, upper = H(X_t | X_1..X_{t-1}) and lower additionally
     conditions on the hidden state S_1, weighted by its stationary law
-    gamma.  At t = 1 the rate is pinned only by 0 <= rate <= H(X_1).  One
-    forward pass carries the two pinned starts S_1 = 0, 1 as a batch axis;
-    the stationary law is their gamma-mixture.  Each step's laws are dropped
-    once their entropies are taken.
+    gamma.  At t = 1 the rate is pinned only by 0 <= rate <= H(X_1).  The
+    forward passes carry the two pinned starts S_1 = 0, 1 as a batch axis;
+    the stationary law is their gamma-mixture.
+
+    One pass to depth min(n, SUBTREE_DEPTH) yields the brackets as it goes.
+    The longer lengths come in groups of BRACKET_GROUP, counted down from n,
+    and each group's brackets follow once its subtrees are done
+    (``_add_level_entropies``).
     """
-    gamma = process.memory.stationary
-    emissions = itertools.repeat(process.emission.T, n)
-    h = 0.0  # H of the empty string
-    for t, fwd in enumerate(forward(process.memory.transition, np.eye(2)[:, None, :], emissions),
-                            start=1):
-        pinned = fwd.sum(axis=-1)
-        h_next = shannon_entropy(gamma @ pinned)
-        h0_next, h1_next = shannon_entropy(pinned[0]), shannon_entropy(pinned[1])
-        del pinned  # not kept alive while forward builds the next, larger step
-        lower = 0.0 if t == 1 else gamma[0] * (h0_next - h0) + gamma[1] * (h1_next - h1)
-        yield EntropyRateBracket(lower=float(lower), upper=float(h_next - h), block_length=t)
-        h, h0, h1 = h_next, h0_next, h1_next
+    transition, gamma = process.memory.transition, process.memory.stationary
+    pinned_starts = np.eye(2)[:, None, :]
+    head = min(n, SUBTREE_DEPTH)
+    emissions = itertools.repeat(process.emission.T, head)
+    previous = np.zeros(3)  # the empty string
+    for t, fwd in enumerate(forward(transition, pinned_starts, emissions), start=1):
+        current = _level_entropies(fwd, gamma)
+        yield _bracket(t, previous, current, gamma)
+        previous = current
+    del fwd  # the depth-head laws are not kept alive while the subtrees run
+    low = head
+    for top in reversed(range(n, head, -BRACKET_GROUP)):
+        totals = np.zeros((top + 1, 3))
+        totals[low] = previous
+        _add_level_entropies(process, pinned_starts, 0, low, top, totals)
+        for t in range(low + 1, top + 1):
+            yield _bracket(t, totals[t - 1], totals[t], gamma)
+        previous, low = totals[top], top
 
 
 def entropy_rate_bracket(process: FlipProcess, n: int) -> EntropyRateBracket:

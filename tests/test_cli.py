@@ -250,6 +250,16 @@ def test_n_max_above_the_enumeration_cap_exits_invalid(capsys):
         assert code == EXIT_OK and out != ""
 
 
+def test_sweep_checks_n_max_before_the_grid(capsys):
+    # at --a 5 no grid point is a valid channel, so no bracket ever runs:
+    # the flag is still refused, as it is at --a 1, not printed as nan rows
+    for a in ("5", "1"):
+        code, out, err = run(capsys, "sweep", "--axis", "mu", "--lo", "0.1", "--hi", "0.5",
+                             "--steps", "3", "--a", a, "--d", "0", "--quantity", "c_prod",
+                             "--n-max", "25")
+        assert code == EXIT_INVALID and out == "" and "--n-max 25" in err
+
+
 # ---------------------------------------------------------------- mutual-info
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,66 @@ def test_brackets_run_one_forward_pass(monkeypatch):
     calls.clear()
     entropy_rate_bracket(process_for(params), 8)
     assert len(calls) == 1
+
+
+def _pinned_block_entropy(process: FlipProcess, state: int, n: int) -> float:
+    """H(X^n | S_1 = state), from path_measure with the chain started in state."""
+    start = np.eye(2)[state]
+    pinned = FlipProcess(MarkovMemory(process.memory.transition, start), process.emission)
+    return block_entropy(pinned, n)
+
+
+@pytest.mark.parametrize("memory", [MarkovMemory.symmetric(-0.7), MarkovMemory.symmetric(0.98),
+                                    MarkovMemory.from_transition([[0.6, 0.4], [0.05, 0.95]])])
+def test_subtree_brackets_match_block_entropies(monkeypatch, memory):
+    # with subtrees of 3 sites, n = 14 nests four levels of them below a
+    # 2-site root pass, so every way a level can be reached is exercised
+    monkeypatch.setattr(hmm_rate, "SUBTREE_DEPTH", 3)
+    process = FlipProcess.from_memory(memory, 0.9, -0.2)
+    gamma = memory.stationary
+    h = [block_entropy(process, t) if t else 0.0 for t in range(15)]
+    pinned = [[_pinned_block_entropy(process, state, t) if t else 0.0 for t in range(15)]
+              for state in (0, 1)]
+    for n in range(2, 15):
+        brackets = list(hmm_rate._brackets(process, n))
+        assert [b.block_length for b in brackets] == list(range(1, n + 1))
+        for t, bracket in enumerate(brackets[1:], start=2):
+            lower = sum(g * (p[t] - p[t - 1]) for g, p in zip(gamma, pinned))
+            assert bracket.upper == pytest.approx(h[t] - h[t - 1], abs=1e-12)
+            assert bracket.lower == pytest.approx(lower, abs=1e-12)
+
+
+def test_an_early_stop_pays_only_for_its_own_group(monkeypatch):
+    # with subtrees of 3 sites and groups of 3 lengths, lengths 4..14 come in
+    # the groups 4-5, 6-8, 9-11 and 12-14: a caller that stops at 5 makes the
+    # forward passes a run to 5 makes, none of those the later groups need
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(hmm_rate, "SUBTREE_DEPTH", 3)
+    monkeypatch.setattr(hmm_rate, "BRACKET_GROUP", 3)
+    monkeypatch.setattr(hmm_rate, "forward", counted)
+    process = FlipProcess.from_memory(MarkovMemory.symmetric(0.9), 0.9, -0.2)
+    list(hmm_rate._brackets(process, 5))
+    run_to_five = len(calls)
+    calls.clear()
+    assert len(list(itertools.islice(hmm_rate._brackets(process, 14), 5))) == 5
+    assert len(calls) == run_to_five > 1
+
+
+def test_bracket_memory_does_not_grow_with_the_block_length():
+    # 2**20 strings in two pinned laws are 32 MiB in one pass; the subtrees
+    # hold at most 2**SUBTREE_DEPTH of them at a time
+    tracemalloc.start()
+    try:
+        product_state_capacity(ChannelParams(mu=0.98, a=0.3, d=-0.9), n_max=20, tolerance=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @st.composite
