@@ -206,7 +206,8 @@ def _first_branch_distribution(memory: MarkovMemory, initial_memory) -> np.ndarr
     if initial_memory is None:
         return memory.stationary.copy()
     omega = np.asarray(initial_memory, dtype=float)
-    if omega.shape != (2,) or np.any(omega < -1e-14) or abs(omega.sum() - 1.0) > 1e-12:
+    if (omega.shape != (2,) or not np.all(omega >= -1e-14)
+            or not abs(omega.sum() - 1.0) <= 1e-12):
         raise InvalidParameterError(f"initial memory {omega} is not a probability pair")
     return omega @ memory.transition
 

@@ -524,7 +524,8 @@ def cmd_figures(args) -> int:
 # ----------------------------------------------------------------------------
 
 
-FAMILIES_HELP = f"'all' or a comma-separated list of {', '.join(FAMILY_KINDS)}"
+FAMILIES_HELP = (f"'all' or a comma-separated list of {', '.join(FAMILY_KINDS)}; "
+                 "'all' leaves out w at n = 1 and max_entangled at odd n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -258,8 +258,11 @@ def orbit_mutual_information(family: InputFamily, params: ChannelParams) -> Mutu
 
 
 def default_families(n: int) -> list[InputFamily]:
-    """The four families the figure sweeps compare (max_entangled only at even n)."""
-    families = [basis_product(n), ghz(n), w_state(n)]
+    """The four families the figure sweeps compare (W only at n >= 2,
+    max_entangled only at even n)."""
+    families = [basis_product(n), ghz(n)]
+    if n >= 2:
+        families.append(w_state(n))
     if n % 2 == 0:
         families.append(max_entangled_halves(n))
     return families

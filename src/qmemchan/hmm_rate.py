@@ -15,9 +15,10 @@ bracket it between the standard conditional entropies
 computed exactly over all length-n strings.  The forward passes pin the
 hidden state S_1 to 0 and to 1 as a batch axis; the stationary string law is
 their mixture gamma_0 P(.|S_1=0) + gamma_1 P(.|S_1=1), so it needs no pass of
-its own.  Up to block length SUBTREE_DEPTH one pass yields the brackets as it
-goes; longer strings are enumerated depth first in subtrees of SUBTREE_DEPTH
-sites, so memory stays fixed as n grows.
+its own.  One enumeration serves every block length: lengths up to
+SUBTREE_DEPTH are one pass that yields the brackets as it goes, and longer
+strings are enumerated depth first in subtrees of SUBTREE_DEPTH sites, so
+memory stays fixed as n grows.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .errors import InvalidParameterError
 from .linalg import shannon_entropy
 
 # sites per forward pass of the bracket: its arrays hold at most
-# 2 x 2**SUBTREE_DEPTH strings (a 4.5 MiB peak at 16), whatever the block length
+# 2 x 2**SUBTREE_DEPTH strings (a 4.5 MiB peak at 16), whatever the block
+# length.  Lengths 1..SUBTREE_DEPTH are the first group, one such pass.
 SUBTREE_DEPTH = 16
 # block lengths past SUBTREE_DEPTH are bracketed in groups of this many, each
 # from its own subtrees.  A run that stops inside a group pays for at most
@@ -112,15 +114,17 @@ def _level_entropies(fwd: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
 
 def _add_level_entropies(process: FlipProcess, start: np.ndarray, depth: int, low: int,
-                         top: int, totals: np.ndarray) -> None:
-    """Add to totals[t], for low < t <= top, the level entropies of the
-    strings that extend one prefix of ``depth`` sites; ``start`` is the
-    pinned law of the next hidden state jointly with that prefix.
+                         top: int, totals: np.ndarray):
+    """Add to totals[t], low < t <= top, the level entropies of the strings
+    that extend one prefix of ``depth`` sites, yielding each t once its level
+    is summed over them; ``start`` is the pinned law of the next hidden state
+    jointly with that prefix.
 
-    The first pass is as long as it must be for top - depth to become a
-    multiple of SUBTREE_DEPTH; from there each prefix starts its own pass of
-    SUBTREE_DEPTH sites from alpha_prefix @ E.  The prefixes partition the
-    strings, so their entropy terms add up to the entropy of each level.
+    The first pass runs until top - depth is a multiple of SUBTREE_DEPTH and
+    yields as it goes.  If it stops short of top it ends at or below low
+    (BRACKET_GROUP <= SUBTREE_DEPTH), and each prefix starts its own pass of
+    SUBTREE_DEPTH sites from alpha_prefix @ E; the prefixes partition the
+    strings, so their entropy terms add up to each level's entropy.
     """
     transition, gamma = process.memory.transition, process.memory.stationary
     sites = (top - depth - 1) % SUBTREE_DEPTH + 1
@@ -128,10 +132,13 @@ def _add_level_entropies(process: FlipProcess, start: np.ndarray, depth: int, lo
     for t, fwd in enumerate(forward(transition, start, emissions), start=depth + 1):
         if t > low:
             totals[t] += _level_entropies(fwd, gamma)
+            yield t
     if t < top:
         for prefix in range(fwd.shape[1]):
-            _add_level_entropies(process, fwd[:, prefix, None, :] @ transition, t, low, top,
-                                 totals)
+            for _ in _add_level_entropies(process, fwd[:, prefix, None, :] @ transition, t,
+                                          low, top, totals):
+                pass
+        yield from range(low + 1, top + 1)
 
 
 def _bracket(t: int, previous: np.ndarray, current: np.ndarray,
@@ -152,29 +159,20 @@ def _brackets(process: FlipProcess, n: int):
     forward passes carry the two pinned starts S_1 = 0, 1 as a batch axis;
     the stationary law is their gamma-mixture.
 
-    One pass to depth min(n, SUBTREE_DEPTH) yields the brackets as it goes.
-    The longer lengths come in groups of BRACKET_GROUP, counted down from n,
-    and each group's brackets follow once its subtrees are done
-    (``_add_level_entropies``).
+    Every length goes through ``_add_level_entropies``, group by group, into
+    one table of level entropies.  The first group, 1..min(n, SUBTREE_DEPTH),
+    is one pass whose brackets follow as it goes; the later groups of
+    BRACKET_GROUP lengths, counted down from n, follow once their subtrees
+    are done.
     """
-    transition, gamma = process.memory.transition, process.memory.stationary
     pinned_starts = np.eye(2)[:, None, :]
-    head = min(n, SUBTREE_DEPTH)
-    emissions = itertools.repeat(process.emission.T, head)
-    previous = np.zeros(3)  # the empty string
-    for t, fwd in enumerate(forward(transition, pinned_starts, emissions), start=1):
-        current = _level_entropies(fwd, gamma)
-        yield _bracket(t, previous, current, gamma)
-        previous = current
-    del fwd  # the depth-head laws are not kept alive while the subtrees run
-    low = head
-    for top in reversed(range(n, head, -BRACKET_GROUP)):
-        totals = np.zeros((top + 1, 3))
-        totals[low] = previous
-        _add_level_entropies(process, pinned_starts, 0, low, top, totals)
-        for t in range(low + 1, top + 1):
+    gamma = process.memory.stationary
+    totals = np.zeros((n + 1, 3))  # totals[0] is the empty string
+    low = 0
+    for top in (min(n, SUBTREE_DEPTH), *reversed(range(n, SUBTREE_DEPTH, -BRACKET_GROUP))):
+        for t in _add_level_entropies(process, pinned_starts, 0, low, top, totals):
             yield _bracket(t, totals[t - 1], totals[t], gamma)
-        previous, low = totals[top], top
+        low = top
 
 
 def entropy_rate_bracket(process: FlipProcess, n: int) -> EntropyRateBracket:

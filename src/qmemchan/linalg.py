@@ -41,14 +41,15 @@ def check_density_matrix(rho: np.ndarray) -> None:
     Raises
     ------
     InvalidStateError
-        If max |rho - rho^dag| > 1e-12 or |tr(rho) - 1| > 1e-12.
+        Unless max |rho - rho^dag| <= 1e-12 and |tr(rho) - 1| <= 1e-12; a nan
+        entry fails them.
     """
     num_qubits(rho)
     herm_defect = np.max(np.abs(rho - rho.conj().T))
-    if herm_defect > HERMITIAN_TOL:
+    if not herm_defect <= HERMITIAN_TOL:
         raise InvalidStateError(f"not Hermitian: max |A - A^dag| = {herm_defect:.3e}")
     trace_defect = abs(np.trace(rho) - 1.0)
-    if trace_defect > TRACE_TOL:
+    if not trace_defect <= TRACE_TOL:
         raise InvalidStateError(f"trace differs from 1 by {trace_defect:.3e}")
 
 
@@ -72,13 +73,13 @@ def maximally_mixed(n: int) -> np.ndarray:
 def shannon_entropy(probs: np.ndarray) -> float:
     """-sum p log2 p with 0 log 0 := 0; tolerates slightly negative entries.
 
-    Entries in [-1e-10, 0) count as zeros; anything more negative is an
-    error (the distribution is not a distribution).
+    Entries in [-1e-10, 0) count as zeros; anything more negative, or nan,
+    is an error (the distribution is not a distribution).
     """
     p = np.asarray(probs, dtype=float).ravel()
     smallest = p.min() if p.size else 0.0
-    if smallest < EIGENVALUE_FLOOR:
-        raise InvalidStateError(f"probability {smallest:.3e} below the -1e-10 floor")
+    if not smallest >= EIGENVALUE_FLOOR:
+        raise InvalidStateError(f"probability {smallest:.3e} is nan or below the -1e-10 floor")
     nz = p[p > 0.0]
     return float(-np.sum(nz * np.log2(nz)))
 

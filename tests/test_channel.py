@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
 
-from helpers import random_mixed_dm, random_params, random_pure_dm
+from helpers import CP_PARAMS, random_mixed_dm, random_params, random_pure_dm
 from qmemchan import (
     ChannelParams,
     InvalidParameterError,
@@ -297,6 +298,21 @@ def test_covariance_random_pauli_strings():
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+@given(CP_PARAMS)
+def test_fast_path_is_unital_trace_preserving_and_pauli_covariant(params):
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3):
+        identity = maximally_mixed(n)
+        assert np.max(np.abs(apply_gamma_n_fast(identity, params) - identity)) <= 1e-12
+        rho = random_mixed_dm(rng, 2**n)
+        out = apply_gamma_n_fast(rho, params)
+        assert abs(np.trace(out) - 1.0) <= 1e-12
+        assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+        indices = rng.integers(0, 4, size=n)
+        moved = apply_gamma_n_fast(pauli_conjugate(rho, indices), params)
+        assert np.max(np.abs(moved - pauli_conjugate(out, indices))) <= 1e-12
+
+
 def test_pauli_multipliers_are_the_channel_eigenvalues():
     rng = np.random.default_rng(22)
     for _ in range(10):
@@ -357,6 +373,17 @@ def test_initial_memory_override():
     assert np.max(np.abs(stationary - skewed)) > 1e-4
     with pytest.raises(InvalidParameterError):
         apply_gamma_n(rho, params, initial_memory=(0.9, 0.3))
+
+
+def test_fast_path_rejects_a_nan_initial_memory():
+    params = ChannelParams(mu=0.7, a=0.9, d=0.5)
+    with pytest.raises(InvalidParameterError, match="nan"):
+        apply_gamma_n_fast(maximally_mixed(2), params, initial_memory=(np.nan, 1.0))
+
+
+def test_path_weights_reject_a_nan_initial_memory():
+    with pytest.raises(InvalidParameterError, match="nan"):
+        path_weights(MarkovMemory.symmetric(0.7), 3, initial_memory=(np.nan, 1.0))
 
 
 # ------------------------------------------------------------- forgetfulness

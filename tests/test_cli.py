@@ -136,6 +136,39 @@ def test_sweep_i_n_product_wins_at_six_uses(capsys):
             assert product >= float(cells[idx[f"per_use_{kind}"]]) - 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    # two invalid end points and two crossover rows
+    ("--axis", "d", "--lo", "-1.5", "--hi", "1.5", "--steps", "7", "--mu", "0.6667",
+     "--a", "0.3334", "--quantity", "c2"),
+    ("--axis", "mu", "--lo", "-0.5", "--hi", "0.5", "--steps", "3", "--a", "0.6", "--d", "0.3",
+     "--quantity", "c_prod", "--n-max", "6"),
+])
+def test_sweep_json_carries_the_csv_rows(capsys, argv):
+    code, csv_out, _ = run(capsys, "sweep", *argv)
+    assert code == EXIT_OK
+    code, json_out, _ = run(capsys, "sweep", *argv, "--format", "json")
+    assert code == EXIT_OK
+    header, *lines = csv_out.strip().split("\n")
+    record = json.loads(json_out)
+    assert record["columns"] == header.split(",")
+    assert len(record["rows"]) == len(lines)
+    flags = [record["columns"].index(name) for name in ("valid", "converged")
+             if name in record["columns"]]
+    for row, line in zip(record["rows"], lines):
+        for cell, csv_cell in zip(row, line.split(","), strict=True):
+            if cell is None:
+                assert csv_cell == "nan"
+            elif isinstance(cell, str):
+                assert cell == csv_cell
+            else:
+                assert format(cell, ".12g") == csv_cell
+        for k in flags:
+            assert type(row[k]) is int and row[k] in (0, 1)
+    if "c2" in argv:
+        assert [row[0] for row in record["rows"]].count("crossover") == 2
+        assert [row[flags[0]] for row in record["rows"]].count(0) == 2
+
+
 def test_sweep_validation_errors(capsys):
     code, _, err = run(capsys, "sweep", "--axis", "mu", "--lo", "0.5", "--hi", "0.1",
                        "--steps", "5", "--a", "1", "--d", "0", "--quantity", "f")
@@ -282,6 +315,21 @@ def test_mutual_info_json(capsys):
     assert sorted(row["family"] for row in record["rows"]) == ["ghz", "product"]
     assert record["n"] == 2
     assert all(0.0 <= row["per_use"] <= 1.0 for row in record["rows"])
+
+
+def test_all_families_at_one_use_leave_out_w(capsys):
+    # the W state needs two qubits, so 'all' at n = 1 is product and GHZ
+    code, out, err = run(capsys, "mutual-info", "--mu", "0.5", "--a", "0.6", "--d", "0.3",
+                         "--n", "1")
+    assert code == EXIT_OK, err
+    families = [line.split(",")[0] for line in out.strip().split("\n")[1:]]
+    assert sorted(families) == ["ghz", "product"]
+    code, out, err = run(capsys, "sweep", "--axis", "mu", "--lo", "0.1", "--hi", "0.5",
+                         "--steps", "2", "--a", "0.6", "--d", "0.3", "--quantity", "i_n",
+                         "--n", "1")
+    assert code == EXIT_OK, err
+    header = out.split("\n")[0].split(",")
+    assert [name for name in header if name.startswith("i_n_")] == ["i_n_product", "i_n_ghz"]
 
 
 def test_mutual_info_bad_family(capsys):

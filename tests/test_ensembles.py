@@ -81,6 +81,16 @@ def test_family_validation():
         w_spectrum(1, ChannelParams(mu=0.9, a=2 / 3, d=-4 / 3))
 
 
+def test_default_families_fit_their_block_length():
+    # W needs n >= 2 and the half-chain state an even n
+    def kinds(n):
+        return [family.kind for family in default_families(n)]
+
+    assert kinds(1) == ["product", "ghz"]
+    assert kinds(3) == ["product", "ghz", "w"]
+    assert kinds(4) == ["product", "ghz", "w", "max_entangled"]
+
+
 def test_ghz_and_max_entangled_structure():
     psi = ghz(3).state_vector()
     assert psi[0] == pytest.approx(1 / math.sqrt(2))

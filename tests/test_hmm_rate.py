@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -248,6 +249,37 @@ def test_brackets_run_one_forward_pass(monkeypatch):
     calls.clear()
     entropy_rate_bracket(process_for(params), 8)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("stop", [1, 5, 16])
+def test_the_first_group_yields_as_its_pass_goes(monkeypatch, stop):
+    # lengths 1..SUBTREE_DEPTH are one pass: a caller that stops at t has paid
+    # for t levels of it, not for the whole group
+    forward_calls, level_calls = [], []
+
+    def counted_forward(*args):
+        forward_calls.append(args)
+        return forward(*args)
+
+    def counted_levels(*args):
+        level_calls.append(args)
+        return level_entropies(*args)
+
+    level_entropies = hmm_rate._level_entropies
+    monkeypatch.setattr(hmm_rate, "forward", counted_forward)
+    monkeypatch.setattr(hmm_rate, "_level_entropies", counted_levels)
+    process = process_for(ChannelParams(mu=0.98, a=0.3, d=-0.9))
+    assert len(list(itertools.islice(hmm_rate._brackets(process, 22), stop))) == stop
+    assert len(level_calls) == stop
+    assert len(forward_calls) == 1
+
+
+def test_a_noiseless_rate_is_a_positive_zero():
+    # every level of the noiseless law is a point mass, whose entropy sums
+    # to -0.0; the rate printed from its bracket is 0.0 at every length
+    process = process_for(ChannelParams.from_x(0.3, 1.0, 1.0))
+    for bracket in hmm_rate._brackets(process, 18):
+        assert math.copysign(1.0, bracket.lower) == math.copysign(1.0, bracket.upper) == 1.0
 
 
 def _pinned_block_entropy(process: FlipProcess, state: int, n: int) -> float:

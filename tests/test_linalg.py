@@ -51,6 +51,22 @@ def test_entropy_rejects_bad_states():
         von_neumann_entropy(np.eye(3, dtype=complex) / 3.0)  # not 2**n
 
 
+def test_shannon_entropy_rejects_nan():
+    # nan compares false with the floor, so the check must be written to fail on it
+    with pytest.raises(InvalidStateError, match="nan"):
+        shannon_entropy([0.5, np.nan, 0.5])
+
+
+def test_binary_entropy_rejects_nan():
+    with pytest.raises(InvalidStateError, match="nan"):
+        binary_entropy(np.nan)
+
+
+def test_von_neumann_entropy_rejects_nan():
+    with pytest.raises(InvalidStateError, match="nan"):
+        von_neumann_entropy(np.full((2, 2), np.nan, dtype=complex))
+
+
 def test_entropy_unitary_invariant_under_pauli_strings():
     rng = np.random.default_rng(2)
     for _ in range(20):
