@@ -7,8 +7,8 @@ n = 2 and n = 4, but the basis product states overtake them at n = 6 and
 stay ahead out to n = 20 - the numerical core of the
 capacity-equals-product-capacity conjecture.  The product, GHZ and
 half-chain states are stabilizer states, whose output spectra need no
-density matrix; the W output is diagonalized as two parity blocks of size
-2^(n-1), so it stops at n = 12.
+density matrix; the W output commutes with sum_i Z_i and is diagonalized
+one Hamming-weight block of size C(n, w) at a time, up to n = 12.
 """
 
 from qmemchan import ChannelParams, InputFamily, orbit_mutual_information, threshold_f

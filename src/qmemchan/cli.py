@@ -293,6 +293,10 @@ def cmd_sweep(args) -> int:
                                         f"{'/'.join(quantities)}, not {args.quantity}")
     if not -math.inf < args.lo < args.hi < math.inf:
         raise InvalidParameterError(f"--lo {args.lo} and --hi {args.hi} must be finite, lo < hi")
+    for name in ("mu", "a", "d"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise InvalidParameterError(f"--{name} {value} must be finite")
     if args.steps < 2:
         raise InvalidParameterError(f"--steps {args.steps} must be >= 2")
     _check_tolerance(args.tolerance)

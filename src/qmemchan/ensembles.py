@@ -18,9 +18,11 @@ S(Gamma_n(rho)) comes from one of three paths:
   writes its spectrum in closed form from the flip law and
   ``pauli_multipliers``, with no density matrix; n <= 24 (the
   flip-string enumeration cap).
-- W: the W output is real symmetric and commutes with Z^{(x)n}, so
-  ``w_spectrum`` builds its two parity blocks of size 2**(n-1) directly
-  and diagonalizes them; n <= 12.
+- W: each branch depolarizer is covariant under every product unitary
+  U^{(x)n} and the W state is an eigenvector of (e^{i theta Z})^{(x)n}, so
+  the real symmetric W output commutes with sum_i Z_i.  ``w_spectrum``
+  builds its blocks of Hamming weight w = 0..n, of size C(n, w), directly
+  and diagonalizes each; n <= 12.
 
 An ``InputFamily`` refuses an n above its kind's cap in FAMILY_MAX_QUBITS
 when it is built, so a caller that builds every family first refuses before
@@ -55,9 +57,10 @@ STABILIZER_KINDS = ("product", "ghz", "max_entangled")
 # constant can go and every family take its own spectrum path.
 ALWAYS_DENSE_MAX_QUBITS = 8
 
-# The W path diagonalizes two dense 2**(n-1) blocks (8 * 2 * 4**(n-1) bytes):
-# on one core W I_n took 0.47 s and 58 MB peak RSS at n = 11 and 3.2 s and
-# 135 MB at n = 12; eigvalsh time grows about 8x per qubit.
+# The W path diagonalizes one dense block per Hamming weight, the largest
+# C(n, n // 2) rows (462 at n = 11, 924 at n = 12): on one core W I_n took
+# 0.044 s and 36 MB peak RSS at n = 11 and 0.23 s and 52 MB at n = 12;
+# eigvalsh time grows about 5x per qubit.
 W_MAX_QUBITS = 12
 
 # the largest n each family's spectrum path reaches
@@ -211,29 +214,39 @@ def w_spectrum(n: int, params: ChannelParams) -> np.ndarray:
     """Eigenvalues of Gamma_n(rho) for the n-qubit W state, unordered, 2**n.
 
     With e_i the basis index of a 1 on qubit i, Gamma_n maps |e_i><e_j| to
-    sum_z c_ij(z) |e_i ^ z><e_j ^ z| over flip strings z.  The output is
-    therefore real symmetric, and it commutes with Z^{(x)n}: it splits into
-    two parity blocks of size 2**(n-1), where index y sits at row y >> 1.
-    With P the flip law ``path_measure``:
+    sum_z c_ij(z) |e_i ^ z><e_j ^ z| over flip strings z, so the output is
+    real symmetric.  Each branch depolarizer is covariant under every
+    product unitary U^{(x)n}, and the W state is an eigenvector of
+    (e^{i theta Z})^{(x)n}, so the output commutes with sum_i Z_i: it splits
+    into one block per Hamming weight w = 0..n, of size C(n, w), and each is
+    diagonalized on its own.  With P the flip law ``path_measure``:
 
     - diagonal: (1/n) sum_i P(y ^ e_i);
     - off-diagonal, y ^ y' = e_i ^ e_j with y_i = 1: (1/n) G_ij(y & y'),
-      G from ``_w_pair_laws``.
+      G from ``_w_pair_laws``.  Both y and y' have weight |y & y'| + 1.
     """
     w_state(n)  # refuses an n below 2 or above the W cap
     law = path_measure(FlipProcess.from_params(params), n)
     index = np.arange(2**n)
     bit = 1 << np.arange(n - 1, -1, -1)  # qubit 0 is the most significant bit
-    parity = np.bitwise_xor.reduce((index[:, None] & bit) != 0, axis=1).astype(int)
-    blocks = np.zeros((2, 2 ** (n - 1), 2 ** (n - 1)))
-    blocks[parity, index >> 1, index >> 1] = sum(law[index ^ b] for b in bit) / n
+    weight = ((index[:, None] & bit) != 0).sum(axis=1)
+    diagonal = sum(law[index ^ b] for b in bit) / n
     pairs, laws = _w_pair_laws(params, n)
     pair_bits = bit[pairs]
     k, z = np.nonzero((index & pair_bits.sum(axis=1)[:, None]) == 0)
     y, y_other = z | pair_bits[k, 0], z | pair_bits[k, 1]
-    blocks[parity[y], y >> 1, y_other >> 1] = laws[k, z] / n
-    blocks[parity[y], y_other >> 1, y >> 1] = laws[k, z] / n
-    return np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
+    off_diagonal = laws[k, z] / n
+    rank = np.empty_like(index)  # each index's row in its weight's block
+    spectra = []
+    for w in range(n + 1):
+        members = np.flatnonzero(weight == w)
+        rank[members] = np.arange(members.size)
+        on = weight[y] == w
+        block = np.diag(diagonal[members])
+        block[rank[y[on]], rank[y_other[on]]] = off_diagonal[on]
+        block[rank[y_other[on]], rank[y[on]]] = off_diagonal[on]
+        spectra.append(np.linalg.eigvalsh(block))
+    return np.concatenate(spectra)
 
 
 def orbit_mutual_information(family: InputFamily, params: ChannelParams) -> MutualInformation:

@@ -1,6 +1,7 @@
 """Shared generators for the test suite (seeded numpy sampling and a
-hypothesis strategy), and the explicit Pauli-orbit Holevo quantity that the
-I_n shortcut is checked against."""
+hypothesis strategy), the explicit Pauli-orbit Holevo quantity that the
+I_n shortcut is checked against, and the parity-block W spectrum that checks
+``w_spectrum`` past the dense cap."""
 
 import itertools
 from dataclasses import dataclass
@@ -10,11 +11,14 @@ from hypothesis import strategies as st
 
 from qmemchan import (
     ChannelParams,
+    FlipProcess,
     InvalidParameterError,
     apply_gamma_n_fast,
+    path_measure,
     pauli_conjugate,
     von_neumann_entropy,
 )
+from qmemchan.ensembles import _w_pair_laws
 from qmemchan.linalg import num_qubits
 
 
@@ -77,3 +81,27 @@ def holevo_quantity(ensemble: HolevoEnsemble, params: ChannelParams) -> float:
     average = sum(p * out for p, out in zip(ensemble.probs, outputs))
     mean_entropy = sum(p * von_neumann_entropy(out) for p, out in zip(ensemble.probs, outputs))
     return von_neumann_entropy(average) - mean_entropy
+
+
+def w_spectrum_by_parity(n: int, params: ChannelParams) -> np.ndarray:
+    """Eigenvalues of the W output from its two parity blocks of size 2**(n-1).
+
+    The output commutes with Z^{(x)n}, so index y sits in the block of its
+    parity, at row y >> 1.  The entries are those of ``w_spectrum``: the
+    diagonal (1/n) sum_i P(y ^ e_i) and, where y ^ y' = e_i ^ e_j with
+    y_i = 1, the off-diagonal (1/n) G_ij(y & y').  Each block costs 8 * 4**(n-1)
+    bytes and a dense eigvalsh: about 1.6 s at n = 12.
+    """
+    law = path_measure(FlipProcess.from_params(params), n)
+    index = np.arange(2**n)
+    bit = 1 << np.arange(n - 1, -1, -1)  # qubit 0 is the most significant bit
+    parity = np.bitwise_xor.reduce((index[:, None] & bit) != 0, axis=1).astype(int)
+    blocks = np.zeros((2, 2 ** (n - 1), 2 ** (n - 1)))
+    blocks[parity, index >> 1, index >> 1] = sum(law[index ^ b] for b in bit) / n
+    pairs, laws = _w_pair_laws(params, n)
+    pair_bits = bit[pairs]
+    k, z = np.nonzero((index & pair_bits.sum(axis=1)[:, None]) == 0)
+    y, y_other = z | pair_bits[k, 0], z | pair_bits[k, 1]
+    blocks[parity[y], y >> 1, y_other >> 1] = laws[k, z] / n
+    blocks[parity[y], y_other >> 1, y >> 1] = laws[k, z] / n
+    return np.concatenate([np.linalg.eigvalsh(block) for block in blocks])

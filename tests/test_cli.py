@@ -169,6 +169,18 @@ def test_sweep_json_carries_the_csv_rows(capsys, argv):
         assert [row[flags[0]] for row in record["rows"]].count(0) == 2
 
 
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+@pytest.mark.parametrize("quantity", ("c2", "f"))
+@pytest.mark.parametrize("axis, flag", (("a", "--mu"), ("mu", "--a"), ("a", "--d")))
+def test_sweep_refuses_a_non_finite_fixed_value(capsys, axis, flag, quantity, value):
+    fixed = {"--mu": "0.5", "--a": "1", "--d": "0.3", flag: value}
+    del fixed[f"--{axis}"]
+    code, out, err = run(capsys, "sweep", "--axis", axis, "--lo", "0.1", "--hi", "0.5",
+                         "--steps", "2", *[f"{name}={v}" for name, v in fixed.items()],
+                         "--quantity", quantity)
+    assert code == EXIT_INVALID and out == "" and f"{flag} {value}" in err
+
+
 def test_sweep_validation_errors(capsys):
     code, _, err = run(capsys, "sweep", "--axis", "mu", "--lo", "0.5", "--hi", "0.1",
                        "--steps", "5", "--a", "1", "--d", "0", "--quantity", "f")

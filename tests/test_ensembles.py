@@ -11,6 +11,7 @@ from helpers import (
     pauli_orbit_ensemble,
     random_params,
     random_pure_dm,
+    w_spectrum_by_parity,
 )
 from qmemchan import ensembles
 from qmemchan import (
@@ -401,6 +402,44 @@ def test_w_spectrum_rejects_positivity_failures_like_dense():
             raised += fast
     assert checked == 117
     assert 0 < raised < checked
+
+
+@pytest.mark.parametrize("n", (11, 12))
+def test_w_spectrum_matches_parity_blocks_past_the_dense_cap(n):
+    rng = np.random.default_rng(59)
+    # the parity-block oracle costs about 1.6 s per point at n = 12; half of
+    # the points with negative memory
+    per_side = 2 if n == 11 else 1
+    points = [random_params(rng, *span)
+              for span in ((-0.95, 0.0), (0.0, 0.95)) for _ in range(per_side)]
+    for params in points:
+        fast = np.sort(w_spectrum(n, params))
+        oracle = np.sort(w_spectrum_by_parity(n, params))
+        assert fast.shape == oracle.shape == (2**n,)
+        assert np.max(np.abs(fast - oracle)) <= 1e-12
+        assert abs(shannon_entropy(fast) - shannon_entropy(oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@given(params=CP_PARAMS)
+def test_w_output_has_no_entry_between_hamming_weights(n, params):
+    output = apply_gamma_n_fast(generate(w_state(n)), params)
+    weight = np.array([bin(y).count("1") for y in range(2**n)])
+    assert np.all(output[weight[:, None] != weight] == 0.0)
+
+
+def test_w_spectrum_diagonalizes_one_block_per_hamming_weight(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(block):
+        shapes.append(block.shape)
+        return eigvalsh(block)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    spectrum = w_spectrum(10, ChannelParams(mu=0.9, a=2 / 3, d=-4 / 3))
+    assert shapes == [(math.comb(10, w),) * 2 for w in range(11)]
+    assert spectrum.shape == (2**10,)
 
 
 def test_w_at_its_cap_builds_no_density_matrix(monkeypatch):
