@@ -18,7 +18,10 @@ their mixture gamma_0 P(.|S_1=0) + gamma_1 P(.|S_1=1), so it needs no pass of
 its own.  One enumeration serves every block length: lengths up to
 SUBTREE_DEPTH are one pass that yields the brackets as it goes, and longer
 strings are enumerated depth first in subtrees of SUBTREE_DEPTH sites, so
-memory stays fixed as n grows.
+memory stays fixed as n grows.  Each level's three entropies are reduced
+CHUNK strings at a time in one cache-sized scratch table per run, with no
+temporary the size of the level: at n = 20, 22 and 24 a run takes about
+0.06, 0.19 and 0.83 s at a 3.4 MiB tracemalloc peak (BENCH_15.json).
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ import numpy as np
 
 from .channel import ChannelParams, MarkovMemory, _check_exact, forward
 from .errors import InvalidParameterError
-from .linalg import shannon_entropy
+from .linalg import row_entropies, shannon_entropy
 
 # sites per forward pass of the bracket: its arrays hold at most
-# 2 x 2**SUBTREE_DEPTH strings (a 4.5 MiB peak at 16), whatever the block
+# 2 x 2**SUBTREE_DEPTH strings (a 3.4 MiB peak at 16), whatever the block
 # length.  Lengths 1..SUBTREE_DEPTH are the first group, one such pass.
 SUBTREE_DEPTH = 16
 # block lengths past SUBTREE_DEPTH are bracketed in groups of this many, each
@@ -43,6 +46,9 @@ SUBTREE_DEPTH = 16
 # 2 keeps a run to n within 4/3, and an early stop within about 3x, of the
 # least work its lengths need.
 BRACKET_GROUP = 2
+# strings per step of a level's entropy reduction: the (2, 3, CHUNK) float64
+# scratch table of laws and their logs (384 KiB at 2**13) stays in cache.
+CHUNK = 2**13
 
 
 @dataclass(frozen=True)
@@ -105,20 +111,32 @@ class EntropyRateBracket:
         return self.upper - self.lower
 
 
-def _level_entropies(fwd: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def _level_entropies(fwd: np.ndarray, gamma: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """-sum p log2 p of the stationary and the two pinned string laws in a
-    pinned forward array fwd[S_1, string, hidden]."""
-    pinned = fwd[..., 0] + fwd[..., 1]
-    return np.array([shannon_entropy(gamma @ pinned), shannon_entropy(pinned[0]),
-                     shannon_entropy(pinned[1])])
+    pinned forward array fwd[S_1, string, hidden].
+
+    The strings are taken CHUNK at a time into ``scratch``: scratch[0] holds
+    their laws (the gamma-mixture, then the two pinned) and scratch[1] the
+    logs, so no temporary grows with the level.
+    """
+    entropies = np.zeros(3)
+    laws, logs = scratch
+    for begin in range(0, fwd.shape[1], CHUNK):
+        chunk = fwd[:, begin:begin + CHUNK]
+        width = chunk.shape[1]
+        np.add(chunk[..., 0], chunk[..., 1], out=laws[1:, :width])
+        np.dot(gamma, laws[1:, :width], out=laws[0, :width])
+        entropies += row_entropies(laws[:, :width], logs[:, :width])
+    return entropies
 
 
 def _add_level_entropies(process: FlipProcess, start: np.ndarray, depth: int, low: int,
-                         top: int, totals: np.ndarray):
+                         top: int, totals: np.ndarray, scratch: np.ndarray):
     """Add to totals[t], low < t <= top, the level entropies of the strings
     that extend one prefix of ``depth`` sites, yielding each t once its level
     is summed over them; ``start`` is the pinned law of the next hidden state
-    jointly with that prefix.
+    jointly with that prefix, and ``scratch`` the table _level_entropies
+    works in.
 
     The first pass runs until top - depth is a multiple of SUBTREE_DEPTH and
     yields as it goes.  If it stops short of top it ends at or below low
@@ -131,12 +149,12 @@ def _add_level_entropies(process: FlipProcess, start: np.ndarray, depth: int, lo
     emissions = itertools.repeat(process.emission.T, sites)
     for t, fwd in enumerate(forward(transition, start, emissions), start=depth + 1):
         if t > low:
-            totals[t] += _level_entropies(fwd, gamma)
+            totals[t] += _level_entropies(fwd, gamma, scratch)
             yield t
     if t < top:
         for prefix in range(fwd.shape[1]):
             for _ in _add_level_entropies(process, fwd[:, prefix, None, :] @ transition, t,
-                                          low, top, totals):
+                                          low, top, totals, scratch):
                 pass
         yield from range(low + 1, top + 1)
 
@@ -168,9 +186,10 @@ def _brackets(process: FlipProcess, n: int):
     pinned_starts = np.eye(2)[:, None, :]
     gamma = process.memory.stationary
     totals = np.zeros((n + 1, 3))  # totals[0] is the empty string
+    scratch = np.empty((2, 3, CHUNK))
     low = 0
     for top in (min(n, SUBTREE_DEPTH), *reversed(range(n, SUBTREE_DEPTH, -BRACKET_GROUP))):
-        for t in _add_level_entropies(process, pinned_starts, 0, low, top, totals):
+        for t in _add_level_entropies(process, pinned_starts, 0, low, top, totals, scratch):
             yield _bracket(t, totals[t - 1], totals[t], gamma)
         low = top
 

@@ -289,24 +289,43 @@ def _pinned_block_entropy(process: FlipProcess, state: int, n: int) -> float:
     return block_entropy(pinned, n)
 
 
-@pytest.mark.parametrize("memory", [MarkovMemory.symmetric(-0.7), MarkovMemory.symmetric(0.98),
-                                    MarkovMemory.from_transition([[0.6, 0.4], [0.05, 0.95]])])
-def test_subtree_brackets_match_block_entropies(monkeypatch, memory):
-    # with subtrees of 3 sites, n = 14 nests four levels of them below a
-    # 2-site root pass, so every way a level can be reached is exercised
-    monkeypatch.setattr(hmm_rate, "SUBTREE_DEPTH", 3)
-    process = FlipProcess.from_memory(memory, 0.9, -0.2)
-    gamma = memory.stationary
-    h = [block_entropy(process, t) if t else 0.0 for t in range(15)]
-    pinned = [[_pinned_block_entropy(process, state, t) if t else 0.0 for t in range(15)]
+def _assert_brackets_match_block_entropies(process: FlipProcess, lengths) -> None:
+    """Every bracket of _brackets(process, n), n in lengths, against the
+    block_entropy and pinned-start oracles, to 1e-12."""
+    gamma = process.memory.stationary
+    n_max = max(lengths)
+    h = [block_entropy(process, t) if t else 0.0 for t in range(n_max + 1)]
+    pinned = [[_pinned_block_entropy(process, state, t) if t else 0.0 for t in range(n_max + 1)]
               for state in (0, 1)]
-    for n in range(2, 15):
+    for n in lengths:
         brackets = list(hmm_rate._brackets(process, n))
         assert [b.block_length for b in brackets] == list(range(1, n + 1))
         for t, bracket in enumerate(brackets[1:], start=2):
             lower = sum(g * (p[t] - p[t - 1]) for g, p in zip(gamma, pinned))
             assert bracket.upper == pytest.approx(h[t] - h[t - 1], abs=1e-12)
             assert bracket.lower == pytest.approx(lower, abs=1e-12)
+
+
+SUBTREE_MEMORIES = [MarkovMemory.symmetric(-0.7), MarkovMemory.symmetric(0.98),
+                    MarkovMemory.from_transition([[0.6, 0.4], [0.05, 0.95]])]
+
+
+@pytest.mark.parametrize("memory", SUBTREE_MEMORIES)
+def test_subtree_brackets_match_block_entropies(monkeypatch, memory):
+    # with subtrees of 3 sites, n = 14 nests four levels of them below a
+    # 2-site root pass, so every way a level can be reached is exercised
+    monkeypatch.setattr(hmm_rate, "SUBTREE_DEPTH", 3)
+    _assert_brackets_match_block_entropies(FlipProcess.from_memory(memory, 0.9, -0.2),
+                                           range(2, 15))
+
+
+@pytest.mark.parametrize("memory", SUBTREE_MEMORIES)
+def test_chunked_level_entropies_match_block_entropies(monkeypatch, memory):
+    # chunks of 3 strings divide no level of 2**t strings: every level ends
+    # in a partial chunk, and every level of more than 3 strings has a seam
+    monkeypatch.setattr(hmm_rate, "CHUNK", 3)
+    monkeypatch.setattr(hmm_rate, "SUBTREE_DEPTH", 3)
+    _assert_brackets_match_block_entropies(FlipProcess.from_memory(memory, 0.9, -0.2), [14])
 
 
 def test_an_early_stop_pays_only_for_its_own_group(monkeypatch):

@@ -16,6 +16,7 @@ from qmemchan import (
     von_neumann_entropy,
 )
 from qmemchan.errors import InvalidParameterError
+from qmemchan.linalg import row_entropies
 
 def test_entropy_maximally_mixed():
     assert von_neumann_entropy(maximally_mixed(1)) == pytest.approx(1.0, abs=1e-13)
@@ -55,6 +56,54 @@ def test_shannon_entropy_rejects_nan():
     # nan compares false with the floor, so the check must be written to fail on it
     with pytest.raises(InvalidStateError, match="nan"):
         shannon_entropy([0.5, np.nan, 0.5])
+
+
+def _laws_and_logs(rows):
+    laws = np.array(rows, dtype=float)
+    return laws, np.empty_like(laws)
+
+
+def test_row_entropies_match_shannon_entropy_row_by_row():
+    rng = np.random.default_rng(5)
+    tiny = np.nextafter(0.0, 1.0)
+    rows = [
+        [0.5, 0.0, 0.25, 0.0, 0.25],  # exact zeros
+        [0.5, -1e-10, 0.5, -3e-11, 0.0],  # slightly negative entries count as zeros
+        [0.5, 0.5, tiny, 1e-310, 0.0],  # subnormal entries
+        [1.0, 0.0, 0.0, 0.0, 0.0],  # a point mass
+        rng.dirichlet(np.ones(5)),
+    ]
+    expected = [shannon_entropy(row) for row in rows]
+    laws, logs = _laws_and_logs(rows)
+    got = row_entropies(laws, logs)
+    assert got.shape == (len(rows),)
+    assert np.all(np.abs(got - expected) <= 1e-12)
+    # the clamped entries are zeros in place, and nothing else moved
+    assert np.array_equal(laws, np.maximum(np.array(rows), 0.0))
+
+
+def test_row_entropies_match_shannon_entropy_on_strided_rows():
+    # a table narrowed to its first columns, as the bracket's chunks use it
+    rng = np.random.default_rng(6)
+    table = np.empty((2, 3, 64))
+    table[0] = rng.dirichlet(np.ones(64), size=3)
+    table[0, :, ::7] = 0.0
+    laws, logs = table[:, :, :37]
+    expected = [shannon_entropy(row) for row in laws]
+    assert np.all(np.abs(row_entropies(laws, logs) - expected) <= 1e-12)
+
+
+def test_row_entropies_reject_nan():
+    # nan compares false with the floor, so the check must be written to fail on it
+    laws, logs = _laws_and_logs([[0.5, 0.5, 0.0], [0.25, np.nan, 0.75]])
+    with pytest.raises(InvalidStateError, match="nan"):
+        row_entropies(laws, logs)
+
+
+def test_row_entropies_reject_entries_below_the_floor():
+    laws, logs = _laws_and_logs([[0.5, 0.5, 0.0], [0.5, -1e-9, 0.5]])
+    with pytest.raises(InvalidStateError, match="below the -1e-10 floor"):
+        row_entropies(laws, logs)
 
 
 def test_binary_entropy_rejects_nan():
